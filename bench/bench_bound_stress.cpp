@@ -79,10 +79,8 @@ int main() {
   };
   const auto results = parallel_map(probes, [&](const Probe& probe) {
     const Instance instance = generate_random_instance(probe.config, probe.seed);
-    EvaluateOptions options;
-    options.opt.bin_count.exact.node_budget = 5'000;
     const InstanceEvaluation evaluation =
-        evaluate_algorithms(instance, algorithms, model, options);
+        evaluate_algorithms(instance, algorithms, model);
     ProbeResult result;
     result.mu = evaluation.metrics.mu;
     result.label = probe.label;

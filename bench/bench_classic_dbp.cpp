@@ -57,10 +57,8 @@ int main() {
       config.size.max_fraction = 0.95;
     }
     const Instance instance = generate_random_instance(config, cell.seed);
-    EvaluateOptions options;
-    options.opt.bin_count.exact.node_budget = 20'000;
     const InstanceEvaluation evaluation = evaluate_algorithms(
-        instance, {"first-fit", "best-fit", "next-fit"}, model, options);
+        instance, {"first-fit", "best-fit", "next-fit"}, model);
     const double opt_peak = static_cast<double>(evaluation.opt.max_bins_lower);
     CellResult r;
     r.ff_peak_ratio =

@@ -53,13 +53,11 @@ int main() {
     config.size.min_fraction = 0.05;
     config.size.max_fraction = 0.6;
     const Instance instance = generate_random_instance(config, cell.seed);
-    EvaluateOptions options;
-    options.opt.bin_count.exact.node_budget = 20'000;
     const InstanceEvaluation evaluation = evaluate_algorithms(
         instance,
         {"first-fit", "modified-first-fit", "modified-first-fit-known-mu",
          "align-departures-fit", "min-extension-fit"},
-        model, options);
+        model);
     const RepackBaselineResult repack = run_repack_baseline(instance, model);
     CellResult r;
     r.ff = evaluation.row("first-fit").ratio.upper;

@@ -51,12 +51,10 @@ int main() {
   };
   const auto results = parallel_map(cells, [&](const Cell& cell) {
     const Instance instance = make_instance(cell.mu, cell.seed);
-    EvaluateOptions options;
-    options.opt.bin_count.exact.node_budget = 20'000;
     const InstanceEvaluation evaluation = evaluate_algorithms(
         instance,
         {"first-fit", "modified-first-fit", "modified-first-fit-known-mu"},
-        model, options);
+        model);
     return CellResult{evaluation.row("first-fit").ratio.upper,
                       evaluation.row("modified-first-fit").ratio.upper,
                       evaluation.row("modified-first-fit-known-mu").ratio.upper};
@@ -92,7 +90,6 @@ int main() {
       const Instance instance = make_instance(8.0, seed);
       EvaluateOptions options;
       options.packer.mff_k = k;
-      options.opt.bin_count.exact.node_budget = 20'000;
       const InstanceEvaluation evaluation =
           evaluate_algorithms(instance, {"modified-first-fit"}, model, options);
       ratios.push_back(evaluation.algorithms[0].ratio.upper);

@@ -52,9 +52,7 @@ int main() {
     config.size.min_fraction = 0.02;
     config.size.max_fraction = 0.9;
     const Instance instance = generate_random_instance(config, cell.seed);
-    EvaluateOptions options;
-    options.opt.bin_count.exact.node_budget = 20'000;
-    return evaluate_algorithms(instance, all_algorithm_names(), model, options);
+    return evaluate_algorithms(instance, all_algorithm_names(), model);
   });
 
   for (const double mu : mus) {

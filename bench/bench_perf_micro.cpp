@@ -75,10 +75,8 @@ void BM_BinCountOracle(benchmark::State& state) {
   }
   std::sort(sizes.begin(), sizes.end(), std::greater<>());
   const CostModel model = unit_model();
-  BinCountOptions options;
-  options.exact.node_budget = 20'000;
   for (auto _ : state) {
-    const BinCountBounds bounds = optimal_bin_count(sizes, model, options);
+    const BinCountBounds bounds = optimal_bin_count(sizes, model);
     benchmark::DoNotOptimize(bounds.lower);
   }
 }
@@ -98,10 +96,8 @@ void BM_BinCountOracleRle(benchmark::State& state) {
   std::sort(sizes.begin(), sizes.end(), std::greater<>());
   const std::vector<SizeRun> runs = rle_from_sorted(sizes);
   const CostModel model = unit_model();
-  BinCountOptions options;
-  options.exact.node_budget = 20'000;
   for (auto _ : state) {
-    const BinCountBounds bounds = optimal_bin_count_rle(runs, model, options);
+    const BinCountBounds bounds = optimal_bin_count_rle(runs, model);
     benchmark::DoNotOptimize(bounds.lower);
   }
 }
@@ -111,7 +107,6 @@ void RunOptTotal(benchmark::State& state, const Instance& instance,
                  exec::ExecutionPolicy policy) {
   const CostModel model = unit_model();
   OptTotalOptions options;
-  options.bin_count.exact.node_budget = 20'000;
   options.policy = policy;
   for (auto _ : state) {
     const OptTotalResult result = estimate_opt_total(instance, model, options);
@@ -146,7 +141,6 @@ void BM_OptTotalReference(benchmark::State& state) {
       make_instance(static_cast<std::size_t>(state.range(0)));
   const CostModel model = unit_model();
   OptTotalOptions options;
-  options.bin_count.exact.node_budget = 20'000;
   for (auto _ : state) {
     const OptTotalResult result =
         estimate_opt_total_reference(instance, model, options);
@@ -160,7 +154,6 @@ void BM_OptTotalReferenceDyadic(benchmark::State& state) {
       make_dyadic_instance(static_cast<std::size_t>(state.range(0)));
   const CostModel model = unit_model();
   OptTotalOptions options;
-  options.bin_count.exact.node_budget = 20'000;
   for (auto _ : state) {
     const OptTotalResult result =
         estimate_opt_total_reference(instance, model, options);

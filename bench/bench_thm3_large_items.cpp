@@ -54,10 +54,8 @@ int main() {
     config.size.min_fraction = 1.0 / cell.k;  // all items "large"
     config.size.max_fraction = 1.0;
     const Instance instance = generate_random_instance(config, cell.seed);
-    EvaluateOptions options;
-    options.opt.bin_count.exact.node_budget = 50'000;
     const InstanceEvaluation evaluation =
-        evaluate_algorithms(instance, {"first-fit"}, model, options);
+        evaluate_algorithms(instance, {"first-fit"}, model);
     return evaluation.algorithms[0].ratio.upper;  // conservative upper estimate
   });
 

@@ -54,10 +54,8 @@ int main() {
       config.arrival.burst_gap = cell.mu / 2.0;
     }
     const Instance instance = generate_random_instance(config, cell.seed);
-    EvaluateOptions options;
-    options.opt.bin_count.exact.node_budget = 20'000;
     const InstanceEvaluation evaluation =
-        evaluate_algorithms(instance, {"first-fit"}, model, options);
+        evaluate_algorithms(instance, {"first-fit"}, model);
     return evaluation.algorithms[0].ratio.upper;
   });
 

@@ -45,10 +45,8 @@ int main() {
     config.size.min_fraction = 0.02;
     config.size.max_fraction = 1.0;  // fully general sizes
     const Instance instance = generate_random_instance(config, cell.seed);
-    EvaluateOptions options;
-    options.opt.bin_count.exact.node_budget = 20'000;
     const InstanceEvaluation evaluation =
-        evaluate_algorithms(instance, {"first-fit"}, model, options);
+        evaluate_algorithms(instance, {"first-fit"}, model);
     return evaluation.algorithms[0].ratio.upper;
   });
 

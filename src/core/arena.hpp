@@ -134,7 +134,9 @@ class MonotonicArena {
       }
     }
     while (next_chunk_bytes_ < needed) next_chunk_bytes_ *= 2;
-    chunks_.push_back(Chunk{std::make_unique<std::byte[]>(next_chunk_bytes_),
+    // Uninitialized: allocations hand out uninitialized storage anyway, and
+    // pages a cycle never touches stay out of the resident set.
+    chunks_.push_back(Chunk{std::make_unique_for_overwrite<std::byte[]>(next_chunk_bytes_),
                             next_chunk_bytes_});
     next_chunk_bytes_ *= 2;
     chunk_ = chunks_.size() - 1;

@@ -35,12 +35,16 @@ struct ParallelWorkEstimate {
 
 /// Measured on the bench container with bench_perf_micro (BM_OptTotal* on
 /// 5000-item instances; docs/performance.md "Adaptive execution policy"):
-/// below ~16 jobs the OpenMP region startup is visible against the work,
-/// and below ~256 total work units the per-job slot overhead is. Both are
-/// deliberately conservative — the sequential path is never wrong, only
-/// occasionally a little slower on hardware we could have used.
+/// below ~16 jobs the OpenMP region startup is visible against the work.
+/// The work-unit cutoff follows the cost of a snapshot, which the exact
+/// solver dominates: since dual-feasible bounds close dyadic snapshots
+/// without a search, a 300-item dyadic estimate (~2.5k runs) takes ~1 ms
+/// sequentially, while a 4-thread region cost ~10 ms on a shared 4-vCPU
+/// host (dbp_bench_report --items=300). Both are deliberately conservative
+/// — the sequential path is never wrong, only occasionally a little slower
+/// on hardware we could have used.
 inline constexpr std::size_t kMinParallelJobs = 16;
-inline constexpr std::size_t kMinParallelWorkUnits = 256;
+inline constexpr std::size_t kMinParallelWorkUnits = 8192;
 
 /// The decision: should this fan-out use parallel_map? Pure function of its
 /// arguments so tests can pin the truth table.

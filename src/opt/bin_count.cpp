@@ -43,7 +43,7 @@ std::size_t per_bin_count(double size, const CostModel& model) {
 /// transient expansion), so compute_rle(compress(S)) == compute_flat(S).
 /// With a scratch, the identical computation runs on reused storage — the
 /// scratch-taking kernel variants are documented value-identical to their
-/// allocating twins, so both branches below return the same bounds.
+/// allocating twins; without one, the exact solver gets a call-local arena.
 BinCountBounds compute_rle(std::span<const SizeRun> runs, const CostModel& model,
                            const BinCountOptions& options, BinCountScratch* scratch) {
   const std::uint64_t n = rle_item_count(runs);
@@ -82,24 +82,20 @@ BinCountBounds compute_rle(std::span<const SizeRun> runs, const CostModel& model
   DBP_CHECK(lower <= upper, "L2 exceeds the FFD/BFD bin count");
   if (lower == upper || !options.use_exact_solver) return {lower, upper};
 
-  if (scratch != nullptr) {
-    // Arena-backed expansion (runs are strictly decreasing, so the expanded
-    // multiset is born sorted), then the search-only solver entry: it takes
-    // the bounds just computed — bit-identical to the ones exact_bin_count
-    // would recompute from the expansion — instead of re-deriving them.
-    const std::span<double> expanded =
-        scratch->arena.allocate_array<double>(static_cast<std::size_t>(n));
-    std::size_t at = 0;
-    for (const SizeRun& run : runs) {
-      for (std::uint64_t i = 0; i < run.count; ++i) expanded[at++] = run.size;
-    }
-    const ExactPackingResult exact = exact_bin_count_bounded(
-        expanded, model, lower, upper, options.exact, scratch->arena);
-    return {std::max(lower, exact.lower), std::min(upper, exact.upper)};
+  // Arena-backed expansion (runs are strictly decreasing, so the expanded
+  // multiset is born sorted), then the solver entry that takes the bounds
+  // just computed — bit-identical to the ones exact_bin_count would
+  // recompute from the expansion — instead of re-deriving them.
+  MonotonicArena local;
+  MonotonicArena& arena = scratch != nullptr ? scratch->arena : local;
+  const std::span<double> expanded =
+      arena.allocate_array<double>(static_cast<std::size_t>(n));
+  std::size_t at = 0;
+  for (const SizeRun& run : runs) {
+    for (std::uint64_t i = 0; i < run.count; ++i) expanded[at++] = run.size;
   }
-  std::vector<double> expanded;
-  rle_expand(runs, expanded);
-  const ExactPackingResult exact = exact_bin_count(expanded, model, options.exact);
+  const ExactPackingResult exact =
+      exact_bin_count_bounded(expanded, model, lower, upper, options.exact, arena);
   return {std::max(lower, exact.lower), std::min(upper, exact.upper)};
 }
 

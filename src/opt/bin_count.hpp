@@ -34,7 +34,8 @@ struct BinCountOptions {
 
 /// Computes bounds for the given multiset. Fast paths (exact, O(n)):
 /// empty, everything-fits-one-bin, all-equal sizes. General path:
-/// max(L1, L2) lower, min(FFD, BFD) upper, branch-and-bound to close.
+/// max(L1, L2) lower, min(FFD, BFD) upper, then the exact solver
+/// (opt/exact.hpp: dual-feasible bound + bin-completion search) to close.
 [[nodiscard]] BinCountBounds optimal_bin_count(std::span<const double> sizes,
                                                const CostModel& model,
                                                const BinCountOptions& options = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/arena.hpp"
@@ -12,10 +13,14 @@ namespace dbp {
 
 namespace {
 
-/// ceil(x) robust to x being a hair above an integer due to rounding.
-std::size_t guarded_ceil(double x) {
-  if (x <= 0.0) return 0;
-  const double guarded = x * (1.0 - 1e-12);
+/// ceil(x) robust to x being a hair above an integer due to rounding. x is
+/// a bin count derived from sums of `items` sizes, so besides the relative
+/// guard it drops an absolute error of up to items * 2^-50 bins: L2's
+/// S3-minus-spare term can round to a hair above 0 when the S2 bins' spare
+/// room exactly absorbs S3 (0.6 + 0.4 at zero tolerance).
+std::size_t guarded_ceil(double x, std::uint64_t items) {
+  const double guarded = x * (1.0 - 1e-12) - static_cast<double>(items) * 0x1p-50;
+  if (guarded <= 0.0) return 0;
   return static_cast<std::size_t>(std::ceil(guarded));
 }
 
@@ -30,7 +35,7 @@ std::size_t l1_lower_bound(std::span<const double> sizes, const CostModel& model
     sum.add(s);
   }
   const double capacity = model.bin_capacity + model.fit_tolerance;
-  return std::max<std::size_t>(1, guarded_ceil(sum.value() / capacity));
+  return std::max<std::size_t>(1, guarded_ceil(sum.value() / capacity, sizes.size()));
 }
 
 std::size_t l2_lower_bound(std::span<const double> sizes, const CostModel& model) {
@@ -105,7 +110,7 @@ std::size_t l2_lower_bound_sorted(std::span<const double> sorted_desc,
     const double sum_s2 = prefix[n12] - prefix[n1];
     const double sum_s3 = prefix[s3_end] - prefix[n12];
     const double spare_in_s2_bins = static_cast<double>(n2) * capacity - sum_s2;
-    const std::size_t extra = guarded_ceil((sum_s3 - spare_in_s2_bins) / capacity);
+    const std::size_t extra = guarded_ceil((sum_s3 - spare_in_s2_bins) / capacity, n);
     best = std::max(best, n12 + extra);
   }
   return std::max(best, l1_lower_bound(sorted_desc, model));
@@ -165,13 +170,13 @@ std::size_t l2_rle_with_buffers(std::span<const SizeRun> runs, const CostModel& 
     const double sum_s3 =
         (trivial ? boundary[d] : boundary[a + 1]) - boundary[half_run];
     const double spare_in_s2_bins = static_cast<double>(n2) * capacity - sum_s2;
-    const std::size_t extra = guarded_ceil((sum_s3 - spare_in_s2_bins) / capacity);
+    const std::size_t extra = guarded_ceil((sum_s3 - spare_in_s2_bins) / capacity, n);
     best = std::max(best, static_cast<std::size_t>(n12) + extra);
   }
 
   // L1 fallback over all items; boundary[d] equals the flat total bitwise.
   const std::size_t l1 =
-      std::max<std::size_t>(1, guarded_ceil(boundary[d] / capacity));
+      std::max<std::size_t>(1, guarded_ceil(boundary[d] / capacity, n));
   return std::max(best, l1);
 }
 
@@ -195,6 +200,43 @@ std::size_t l2_lower_bound_rle(std::span<const SizeRun> runs, const CostModel& m
   if (d == 0) return 0;
   return l2_rle_with_buffers(runs, model, scratch.allocate_array<std::uint64_t>(d + 1),
                              scratch.allocate_array<double>(d + 1));
+}
+
+double bin_volume_bound(const CostModel& model, std::uint64_t item_count) {
+  // A bin of m items passes m fits() checks on residuals that each carry at
+  // most one rounding of <= 2^-53 W, so its exact volume stays below
+  // (W + tol)(1 + m 2^-52). Two more ulps cover dff_weight's own roundings;
+  // nextafter rounds the product up.
+  const double capacity = model.bin_capacity + model.fit_tolerance;
+  const double widen = static_cast<double>(item_count + 2) * 0x1p-52;
+  return std::nextafter(capacity * (1.0 + widen), std::numeric_limits<double>::infinity());
+}
+
+std::uint64_t dff_weight(double size, double volume_bound, std::size_t k) {
+  // The weight is exactly u^(k)(y) with y = product / (k + 1), and the two
+  // roundings make y exceed size / volume_bound by at most a factor
+  // (1 + 2^-52) — which the bound's two extra ulps absorb, so the y of a
+  // feasible bin still sum to at most 1.
+  const auto k1 = static_cast<double>(k + 1);
+  const double product = k1 * (size / volume_bound);
+  const double floor = std::floor(product);
+  const auto j = static_cast<std::uint64_t>(floor);
+  return product == floor ? j * k : j * (k + 1);  // j/(k+1) or j/k, in 1/(k(k+1))
+}
+
+std::size_t dff_lower_bound_rle(std::span<const SizeRun> runs, const CostModel& model) {
+  model.validate();
+  rle_validate(runs, model);
+  if (runs.empty()) return 0;
+  const double bound = bin_volume_bound(model, rle_item_count(runs));
+  std::size_t best = 0;
+  for (std::size_t k = 1; k <= kDffMaxK; ++k) {
+    std::uint64_t total = 0;
+    for (const SizeRun& run : runs) total += run.count * dff_weight(run.size, bound, k);
+    const std::uint64_t unit = k * (k + 1);
+    best = std::max(best, static_cast<std::size_t>((total + unit - 1) / unit));
+  }
+  return best;
 }
 
 }  // namespace dbp

@@ -2,42 +2,53 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "brute_force_packing.hpp"
 #include "opt/classical.hpp"
 #include "opt/lower_bounds.hpp"
+#include "opt/rle.hpp"
 
 namespace dbp {
 namespace {
 
 CostModel unit_model() { return CostModel{1.0, 1.0, 1e-9}; }
 
-/// Brute-force optimum by trying all assignments (tiny n only).
-std::size_t brute_force_bins(const std::vector<double>& sizes,
-                             const CostModel& model) {
-  const std::size_t n = sizes.size();
-  std::size_t best = n;
-  std::vector<double> levels;
-  const auto recurse = [&](auto&& self, std::size_t index) -> void {
-    if (levels.size() >= best) return;
-    if (index == n) {
-      best = std::min(best, levels.size());
-      return;
-    }
-    for (std::size_t b = 0; b < levels.size(); ++b) {
-      if (model.fits(sizes[index], model.bin_capacity - levels[b])) {
-        levels[b] += sizes[index];
-        self(self, index + 1);
-        levels[b] -= sizes[index];
-      }
-    }
-    levels.push_back(sizes[index]);
-    self(self, index + 1);
-    levels.pop_back();
-  };
-  if (n > 0) recurse(recurse, 0);
-  return n == 0 ? 0 : best;
+std::size_t brute_force_bins(const std::vector<double>& sizes, const CostModel& model) {
+  return brute::optimal_packing(sizes, model).size();
+}
+
+/// Solves `sizes` exactly and certifies the answer against the exhaustive
+/// oracle: the bounds must meet at the brute-force optimum, whose packing
+/// must replay through CostModel::fits. Reports which proof directions the
+/// search itself supplied — a lowered upper bound (a packing below
+/// min(FFD, BFD)) and a raised lower bound (a "no" below max(L2, DFF)).
+struct Certified {
+  bool lowered_upper = false;
+  bool raised_lower = false;
+};
+
+Certified certify(const std::vector<double>& sizes, const CostModel& model,
+                  const std::string& label) {
+  std::vector<double> sorted = sizes;
+  std::sort(sorted.begin(), sorted.end(), std::greater<>());
+  const std::size_t heuristic = std::min(first_fit_decreasing(sorted, model),
+                                         best_fit_decreasing(sorted, model));
+  const std::size_t bound = std::max(l2_lower_bound(sorted, model),
+                                     dff_lower_bound_rle(rle_from_sorted(sorted), model));
+  const ExactPackingResult result = exact_bin_count(sizes, model);
+  const brute::Packing witness = brute::optimal_packing(sizes, model);
+  EXPECT_TRUE(brute::packing_fits(witness, model)) << label;
+  EXPECT_TRUE(result.proven) << label;
+  EXPECT_EQ(result.lower, witness.size()) << label;
+  EXPECT_EQ(result.upper, witness.size()) << label;
+  EXPECT_LE(bound, witness.size()) << label;
+  return {result.upper < heuristic, result.lower > bound};
 }
 
 TEST(ExactTest, TrivialCases) {
@@ -73,9 +84,92 @@ TEST(ExactTest, MatchesBruteForceOnRandomInstances) {
   }
 }
 
+TEST(ExactTest, NearFullMultisetsMatchBruteForceInBothDirections) {
+  // Up to 12 items whose total sits just below an integer m: the waste
+  // budget is nearly zero, so the optimum is m exactly when the items split
+  // into m nearly full bins. Half the instances are built as such a split
+  // (the search must find the packing), half as random sizes scaled to the
+  // same total (the search must often prove that m bins cannot work).
+  std::mt19937_64 rng(4242);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  bool lowered_upper = false;
+  bool raised_lower = false;
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::size_t bins = 2 + static_cast<std::size_t>(trial % 3);
+    const double shortfall = trial % 4 < 2 ? 1e-3 : 1e-7;
+    std::vector<double> sizes;
+    if (trial % 2 == 0) {
+      for (std::size_t b = 0; b < bins; ++b) {
+        std::vector<double> cuts{0.0, 1.0};
+        const std::size_t pieces = std::min<std::size_t>(3 + rng() % 2, 12 / bins);
+        for (std::size_t c = 1; c < pieces; ++c) {
+          cuts.push_back(0.1 + 0.8 * unit(rng));
+        }
+        std::sort(cuts.begin(), cuts.end());
+        for (std::size_t c = 1; c < cuts.size(); ++c) sizes.push_back(cuts[c] - cuts[c - 1]);
+      }
+    } else {
+      const std::size_t n = 2 * bins + rng() % (12 - 2 * bins + 1);
+      for (std::size_t i = 0; i < n; ++i) sizes.push_back(0.1 + 0.6 * unit(rng));
+    }
+    double total = 0.0;
+    for (double s : sizes) total += s;
+    const double scale = (static_cast<double>(bins) - shortfall) / total;
+    for (double& s : sizes) s = std::min(s * scale, 1.0);
+    const Certified c = certify(sizes, unit_model(), "trial " + std::to_string(trial));
+    lowered_upper = lowered_upper || c.lowered_upper;
+    raised_lower = raised_lower || c.raised_lower;
+  }
+  // Both proof directions were exercised by the search itself.
+  EXPECT_TRUE(lowered_upper);
+  EXPECT_TRUE(raised_lower);
+}
+
+TEST(ExactTest, ToleranceEdgeSizesMatchBruteForce) {
+  // Sizes one ulp either side of 1/2 and 1/3, where whether two or three
+  // share a bin depends on the rounding of the residual subtractions and on
+  // the tolerance, mixed with sizes that pair with them exactly.
+  const double third = 1.0 / 3.0;
+  const std::vector<double> palette{
+      std::nextafter(0.5, 1.0), 0.5, std::nextafter(0.5, 0.0),
+      std::nextafter(third, 1.0), third, std::nextafter(third, 0.0),
+      2.0 * third, 0.25, 1.0 / 6.0};
+  std::mt19937_64 rng(99);
+  for (const double tol : {0.0, 1e-9}) {
+    const CostModel model{1.0, 1.0, tol};
+    for (int trial = 0; trial < 150; ++trial) {
+      std::vector<double> sizes;
+      const std::size_t n = 3 + rng() % 8;
+      for (std::size_t i = 0; i < n; ++i) sizes.push_back(palette[rng() % palette.size()]);
+      (void)certify(sizes, model, std::string(tol == 0.0 ? "tol 0" : "tol 1e-9") +
+                                      " trial " + std::to_string(trial));
+    }
+    // Two items one ulp above 1/2 never share a bin without tolerance.
+    const std::vector<double> above(4, std::nextafter(0.5, 1.0));
+    EXPECT_EQ(exact_bin_count(above, model).upper, tol == 0.0 ? 4u : 2u);
+  }
+}
+
+TEST(ExactTest, NarrowPassesAreNotProofs) {
+  // The only 3-bin packing takes a completion outside the two fullest at
+  // some node, so the first pass (width 2) fails; because it left
+  // completions out, that failure must not be reported as "4 bins needed".
+  const double third = 1.0 / 3.0;
+  const CostModel model{1.0, 1.0, 0.0};
+  const std::vector<double> sizes{
+      0.4, std::nextafter(0.5, 1.0), std::nextafter(third, 1.0), std::nextafter(third, 0.0),
+      0.1, 0.3, 0.5, std::nextafter(third, 1.0), 0.1};
+  ASSERT_EQ(brute_force_bins(sizes, model), 3u);
+  const ExactPackingResult result = exact_bin_count(sizes, model);
+  EXPECT_TRUE(result.proven);
+  EXPECT_EQ(result.lower, 3u);
+  EXPECT_EQ(result.upper, 3u);
+}
+
 TEST(ExactTest, BudgetAbortKeepsSoundBounds) {
-  // A large awkward instance with a tiny node budget: the search aborts but
-  // the bounds must still sandwich the FFD solution.
+  // A large awkward instance with a tiny node budget: neither the
+  // dual-feasible bound nor the first candidates close it, so the search
+  // aborts, and the bounds must still sandwich the FFD solution.
   std::vector<double> sizes;
   std::mt19937_64 rng(7);
   std::uniform_real_distribution<double> size_dist(0.2, 0.5);
@@ -86,10 +180,8 @@ TEST(ExactTest, BudgetAbortKeepsSoundBounds) {
   EXPECT_LE(result.lower, result.upper);
   EXPECT_GE(result.lower, l2_lower_bound(sizes, unit_model()));
   EXPECT_LE(result.upper, first_fit_decreasing(sizes, unit_model()));
-  // A 10-node budget cannot prove optimality unless bounds met initially.
-  if (!result.proven) {
-    EXPECT_GT(result.nodes, 10u);
-  }
+  ASSERT_FALSE(result.proven);
+  EXPECT_EQ(result.nodes, options.node_budget + 1);
 }
 
 TEST(ExactTest, PerfectFitDominanceStillOptimal) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <random>
 #include <vector>
 
+#include "brute_force_packing.hpp"
 #include "core/error.hpp"
 #include "opt/classical.hpp"
 
@@ -68,6 +72,18 @@ TEST(L2Test, HalfPlusEpsilonItems) {
   EXPECT_EQ(l2_lower_bound(sizes, unit_model()), 5u);
 }
 
+TEST(L2Test, SpareThatExactlyAbsorbsS3AddsNoBin) {
+  // At zero tolerance 0.6 + 0.4 fills a bin exactly, and OPT is 3:
+  // {0.7, 0.1} {0.6, 0.4} {0.6, 0.4}. With alpha = 0.4 the S3 volume minus
+  // the S2 bins' spare room rounds to ~1e-16 instead of 0; ceil of that
+  // used to add a fourth bin.
+  const CostModel model{1.0, 1.0, 0.0};
+  const std::vector<double> sizes{0.7, 0.6, 0.6, 0.4, 0.4, 0.1};
+  EXPECT_EQ(l2_lower_bound(sizes, model), 3u);
+  EXPECT_EQ(l2_lower_bound_rle(rle_from_sorted(sizes), model), 3u);
+  EXPECT_EQ(brute::optimal_packing(sizes, model).size(), 3u);
+}
+
 TEST(L2Test, SortedVariantValidatesOrder) {
   const std::vector<double> unsorted{0.1, 0.9};
   EXPECT_THROW((void)l2_lower_bound_sorted(unsorted, unit_model()), PreconditionError);
@@ -82,6 +98,79 @@ TEST(L2Test, CapacityAware) {
   const CostModel model{10.0, 1.0, 1e-9};
   const std::vector<double> sizes{6.0, 6.0, 6.0};
   EXPECT_EQ(l2_lower_bound(sizes, model), 3u);
+}
+
+
+std::size_t dff_of(std::vector<double> sizes, const CostModel& model) {
+  std::sort(sizes.begin(), sizes.end(), std::greater<>());
+  return dff_lower_bound_rle(rle_from_sorted(sizes), model);
+}
+
+TEST(DffTest, EmptyIsZero) {
+  EXPECT_EQ(dff_lower_bound_rle({}, unit_model()), 0u);
+}
+
+TEST(DffTest, NeverExceedsBruteForceOptimum) {
+  // Random multisets of up to 12 items, continuous and dyadic, against the
+  // exhaustive optimum, with and without tolerance.
+  std::mt19937_64 rng(31);
+  std::uniform_real_distribution<double> continuous(0.05, 0.95);
+  const std::vector<double> dyadic{0.5, 0.375, 0.25, 0.125};
+  for (const double tol : {0.0, 1e-9}) {
+    const CostModel model{1.0, 1.0, tol};
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<double> sizes;
+      const std::size_t n = 1 + rng() % 12;
+      for (std::size_t i = 0; i < n; ++i) {
+        sizes.push_back(trial % 2 == 0 ? continuous(rng) : dyadic[rng() % dyadic.size()]);
+      }
+      EXPECT_LE(dff_of(sizes, model), brute::optimal_packing(sizes, model).size())
+          << "tol " << tol << " trial " << trial;
+    }
+  }
+}
+
+TEST(DffTest, ToleranceEdgeSizesStaySound) {
+  // One ulp either side of 1/2 and 1/3 of a bin: u^(k) jumps exactly there,
+  // so a size rounded the wrong way would overcount.
+  const double third = 1.0 / 3.0;
+  for (const double tol : {0.0, 1e-9}) {
+    const CostModel model{1.0, 1.0, tol};
+    for (const double size : {std::nextafter(0.5, 1.0), std::nextafter(0.5, 0.0),
+                              std::nextafter(third, 1.0), std::nextafter(third, 0.0)}) {
+      for (std::size_t n = 1; n <= 7; ++n) {
+        const std::vector<double> sizes(n, size);
+        EXPECT_LE(dff_of(sizes, model), brute::optimal_packing(sizes, model).size())
+            << "size " << size << " n " << n << " tol " << tol;
+      }
+    }
+  }
+}
+
+TEST(DffTest, ChainRoundingCanOverfillABinSlightly) {
+  // At zero tolerance ten items of 0.1 pass the fits() chain into one bin
+  // although their exact volume is 1 + 5.6e-17 — (k + 1) x lands a hair
+  // above an integer for k = 9, where u^(9) jumps from 1/10 to 1/9. The
+  // bound measures volume against bin_volume_bound, not W, so it stays 1.
+  const CostModel model{1.0, 1.0, 0.0};
+  const std::vector<double> sizes(10, 0.1);
+  ASSERT_EQ(brute::optimal_packing(sizes, model).size(), 1u);
+  EXPECT_EQ(dff_of(sizes, model), 1u);
+}
+
+TEST(DffTest, CountsHalvesAndThreeEighthsAsHalfBins) {
+  // The dyadic gaming catalog: u^(2) maps 1/2 and 3/8 to 1/2 and drops 1/4
+  // and 1/8, so the bound is ceil((halves + three-eighths) / 2) — no bin
+  // holds three of them — where L2 only sees the volume (194.25 here).
+  // First Fit Decreasing meets it: pairs of 1/2, pairs of 3/8 (each with
+  // room for a 1/4), and one 1/2 + 3/8.
+  const CostModel model{1.0, 1.0, 1e-9};
+  const std::vector<SizeRun> runs{{0.5, 227}, {0.375, 188}, {0.25, 40}, {0.125, 2}};
+  std::vector<double> flat;
+  rle_expand(runs, flat);
+  EXPECT_LT(l2_lower_bound_rle(runs, model), 208u);
+  EXPECT_EQ(dff_lower_bound_rle(runs, model), 208u);
+  EXPECT_EQ(first_fit_decreasing(flat, model), 208u);
 }
 
 }  // namespace

@@ -83,10 +83,8 @@ TEST_P(BoundsPropertyTest, PaperBoundsHoldForEveryAlgorithm) {
   const CostBounds closed_form = compute_cost_bounds(instance, model);
   const InstanceMetrics metrics = compute_metrics(instance);
 
-  EvaluateOptions options;
-  options.opt.bin_count.exact.node_budget = 20'000;
   const InstanceEvaluation evaluation =
-      evaluate_algorithms(instance, all_algorithm_names(), model, options);
+      evaluate_algorithms(instance, all_algorithm_names(), model);
 
   for (const AlgorithmEvaluation& eval : evaluation.algorithms) {
     SCOPED_TRACE(eval.algorithm);

@@ -99,16 +99,13 @@ TEST(TraceNeutralityTest, FaultedSimulateIsBitIdenticalWithTracing) {
 TEST(TraceNeutralityTest, OptTotalIsBitIdenticalWithTracing) {
   const Instance instance = make_instance(200, 5);
   const CostModel model{1.0, 1.0, 1e-9};
-  OptTotalOptions options;
-  options.bin_count.exact.node_budget = 20'000;
-
-  const OptTotalResult untraced = estimate_opt_total(instance, model, options);
+  const OptTotalResult untraced = estimate_opt_total(instance, model);
   obs::RunTracer tracer;
   obs::MetricsRegistry registry;
   OptTotalResult traced;
   {
     const obs::ObsScope scope(&tracer, &registry);
-    traced = estimate_opt_total(instance, model, options);
+    traced = estimate_opt_total(instance, model);
   }
   EXPECT_EQ(traced.lower_cost, untraced.lower_cost);
   EXPECT_EQ(traced.upper_cost, untraced.upper_cost);
@@ -134,9 +131,7 @@ std::string traced_pipeline_jsonl(const Instance& instance,
   {
     const obs::ObsScope scope(&tracer, nullptr);
     (void)simulate(instance, "first-fit", model);
-    OptTotalOptions options;
-    options.bin_count.exact.node_budget = 20'000;
-    (void)estimate_opt_total(instance, model, options);
+    (void)estimate_opt_total(instance, model);
   }
   set_parallel_worker_count(saved);
   std::ostringstream out;

@@ -143,7 +143,6 @@ void append_opt_total_cases(std::vector<BenchCase>& cases,
                             const Instance& instance, const CostModel& model,
                             std::size_t repeats) {
   OptTotalOptions options;
-  options.bin_count.exact.node_budget = 20'000;
 
   // The three estimators are timed interleaved (one round of each per
   // repeat, minimum over rounds) rather than back to back, so the pairs
@@ -346,7 +345,6 @@ void append_oracle_cases(std::vector<BenchCase>& cases, const CostModel& model,
   const std::vector<SizeRun> runs = rle_from_sorted(sizes);
 
   BinCountOptions options;
-  options.exact.node_budget = 20'000;
   constexpr int kCalls = 50;
   const double flat_ms = best_of_ms(repeats, [&] {
     for (int c = 0; c < kCalls; ++c) {

@@ -294,9 +294,7 @@ bool run_round(std::uint64_t round, std::uint64_t seed, std::size_t max_items,
   const CostBounds closed = compute_cost_bounds(instance, model);
   const InstanceMetrics metrics = compute_metrics(instance);
 
-  OptTotalOptions opt_options;
-  opt_options.bin_count.exact.node_budget = 2'000;
-  const OptTotalResult opt = estimate_opt_total(instance, model, opt_options);
+  const OptTotalResult opt = estimate_opt_total(instance, model);
 
   bool ok = true;
   const auto fail = [&](const std::string& what) {

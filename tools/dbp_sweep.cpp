@@ -150,7 +150,6 @@ CellOutcome run_cell(const Cell& cell, bool want_opt,
 
   if (want_opt) {
     OptTotalOptions opt_options;
-    opt_options.bin_count.exact.node_budget = 5'000;
     // The policy flag is honored, but under the lease effective() == 1, so
     // even kParallel serializes — recorded in evaluate_workers below.
     opt_options.policy = policy;
