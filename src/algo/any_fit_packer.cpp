@@ -5,6 +5,7 @@ namespace dbp {
 AnyFitPacker::AnyFitPacker(CostModel model, std::unique_ptr<FitStrategy> strategy)
     : Packer(model), strategy_(std::move(strategy)) {
   DBP_REQUIRE(strategy_ != nullptr, "AnyFitPacker requires a strategy");
+  first_fit_ = strategy_->name() == "first-fit";
 }
 
 BinId AnyFitPacker::on_arrival(const ArrivingItem& item) {

@@ -64,18 +64,19 @@ class AnyFitPacker : public Packer {
       // First Fit scan-order monotonicity: the selected bin must be the
       // *earliest-opened* open bin that fits — no open bin with a smaller id
       // may accommodate the item (bin ids are assigned in opening order).
-      if (strategy.name() == "first-fit") {
-        for (const BinId open : manager_.open_bins()) {
-          if (open >= bin) break;
-          DBP_AUDIT_CHECK(!manager_.fits(item.size, open),
+      // Ids below `bin`, scanned in place: fits() is false for closed bins.
+      if (first_fit_) {
+        for (BinId earlier = 0; earlier < bin; ++earlier) {
+          DBP_AUDIT_CHECK(!manager_.fits(item.size, earlier),
                           "First Fit skipped an earlier-opened fitting bin");
         }
       }
 #endif
     } else {
       if ((paranoid_ || audit_enabled()) && strategy.any_fit_contract()) {
-        for (BinId open : manager_.open_bins()) {
-          DBP_CHECK(!manager_.fits(item.size, open),
+        // Every id, scanned in place: fits() is false for closed bins.
+        for (BinId any = 0; any < manager_.total_bins_opened(); ++any) {
+          DBP_CHECK(!manager_.fits(item.size, any),
                     "Any Fit contract violated: a fitting bin was declined");
         }
       }
@@ -102,6 +103,10 @@ class AnyFitPacker : public Packer {
 
  private:
   std::unique_ptr<FitStrategy> strategy_;
+  /// The strategy is First Fit; read by the audit scan in arrival_impl,
+  /// which must not build a name string per arrival (names past the
+  /// small-string limit would allocate in the event loop).
+  bool first_fit_ = false;
   bool paranoid_ = false;
 };
 

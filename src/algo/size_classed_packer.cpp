@@ -56,12 +56,13 @@ BinId SizeClassedPacker::on_arrival(const ArrivingItem& item) {
                     "size class routed an item to a foreign pool's bin");
 #if DBP_AUDIT_ENABLED
     // Per-pool First Fit scan-order monotonicity: within the item's class,
-    // no earlier-opened open bin may accommodate it.
+    // no earlier-opened open bin may accommodate it. Ids below `bin` are
+    // scanned in place (fits() is false for closed bins), so the audit
+    // allocates nothing per arrival.
     if (strategy.name() == "first-fit") {
-      for (const BinId open : manager_.open_bins()) {
-        if (open >= bin) break;
-        if (class_of_bin(open) != cls) continue;
-        DBP_AUDIT_CHECK(!manager_.fits(item.size, open),
+      for (BinId earlier = 0; earlier < bin; ++earlier) {
+        if (class_of_bin(earlier) != cls) continue;
+        DBP_AUDIT_CHECK(!manager_.fits(item.size, earlier),
                         "pool First Fit skipped an earlier-opened fitting bin");
       }
     }
@@ -71,9 +72,9 @@ BinId SizeClassedPacker::on_arrival(const ArrivingItem& item) {
     // Opening a new bin is only legal when every open bin of the class is
     // unable to host the item (First Fit pools obey the Any Fit contract).
     if (strategy.name() == "first-fit") {
-      for (const BinId open : manager_.open_bins()) {
-        if (class_of_bin(open) != cls) continue;
-        DBP_AUDIT_CHECK(!manager_.fits(item.size, open),
+      for (BinId any = 0; any < manager_.total_bins_opened(); ++any) {
+        if (class_of_bin(any) != cls) continue;
+        DBP_AUDIT_CHECK(!manager_.fits(item.size, any),
                         "pool declined an item although an open bin fits");
       }
     }

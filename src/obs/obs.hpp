@@ -28,8 +28,10 @@ struct ObsContext {
 
 namespace detail {
 /// The active context of this thread. Do not touch directly — install an
-/// ObsScope instead.
-extern thread_local ObsContext g_context;
+/// ObsScope instead. constinit tells every including TU that the variable
+/// needs no dynamic initialization, so accesses read the TLS slot directly
+/// instead of going through the thread-local init wrapper.
+extern thread_local constinit ObsContext g_context;
 }  // namespace detail
 
 /// The tracer of the current thread's scope, or null (tracing off).

@@ -8,7 +8,6 @@
 #include "core/error.hpp"
 #include "opt/classical.hpp"
 #include "opt/lower_bounds.hpp"
-#include "opt/scratch.hpp"
 
 namespace dbp {
 
@@ -37,19 +36,18 @@ std::size_t per_bin_count(double size, const CostModel& model) {
   return std::max<std::size_t>(m, 1);
 }
 
-/// The computation behind both entry points, on the compressed form. Every
-/// step replays the flat algorithm's floating-point sequence (the `_rle`
-/// heuristics are bit-identical by construction; the exact solver runs on a
-/// transient expansion), so compute_rle(compress(S)) == compute_flat(S).
-/// With a scratch, the identical computation runs on reused storage — the
-/// scratch-taking kernel variants are documented value-identical to their
-/// allocating twins; without one, the exact solver gets a call-local arena.
+/// The one computation behind every entry point, on the compressed form.
+/// Every step replays the per-item floating-point sequence (the kernels by
+/// construction, pinned against the per-item loops of
+/// tests/reference_packing.hpp; the exact solver runs on a transient
+/// expansion), so the bounds equal those of the per-item chain on the
+/// expanded multiset. All working storage comes out of `scratch`.
 BinCountBounds compute_rle(std::span<const SizeRun> runs, const CostModel& model,
-                           const BinCountOptions& options, BinCountScratch* scratch) {
+                           const BinCountOptions& options, BinCountScratch& scratch) {
   const std::uint64_t n = rle_item_count(runs);
   if (n == 0) return {0, 0};
 
-  // Same per-item compensated total the flat path accumulates.
+  // Per-item compensated total, as over the expanded multiset.
   CompensatedSum sum;
   for (const SizeRun& run : runs) {
     for (std::uint64_t i = 0; i < run.count; ++i) sum.add(run.size);
@@ -67,18 +65,11 @@ BinCountBounds compute_rle(std::span<const SizeRun> runs, const CostModel& model
     return {bins, bins};
   }
 
-  std::size_t lower;
-  std::size_t upper;
-  if (scratch != nullptr) {
-    scratch->arena.reset();
-    lower = l2_lower_bound_rle(runs, model, scratch->arena);
-    upper = std::min(first_fit_decreasing_rle(runs, model, scratch->ffd_tree),
-                     best_fit_decreasing_rle(runs, model, scratch->bfd_residuals));
-  } else {
-    lower = l2_lower_bound_rle(runs, model);
-    upper = std::min(first_fit_decreasing_rle(runs, model),
-                     best_fit_decreasing_rle(runs, model));
-  }
+  scratch.arena.reset();
+  const std::size_t lower = l2_lower_bound_rle(runs, model, scratch.arena);
+  const std::size_t upper =
+      std::min(first_fit_decreasing_rle(runs, model, scratch.ffd_tree),
+               best_fit_decreasing_rle(runs, model, scratch.bfd_residuals));
   DBP_CHECK(lower <= upper, "L2 exceeds the FFD/BFD bin count");
   if (lower == upper || !options.use_exact_solver) return {lower, upper};
 
@@ -86,16 +77,14 @@ BinCountBounds compute_rle(std::span<const SizeRun> runs, const CostModel& model
   // multiset is born sorted), then the solver entry that takes the bounds
   // just computed — bit-identical to the ones exact_bin_count would
   // recompute from the expansion — instead of re-deriving them.
-  MonotonicArena local;
-  MonotonicArena& arena = scratch != nullptr ? scratch->arena : local;
   const std::span<double> expanded =
-      arena.allocate_array<double>(static_cast<std::size_t>(n));
+      scratch.arena.allocate_array<double>(static_cast<std::size_t>(n));
   std::size_t at = 0;
   for (const SizeRun& run : runs) {
     for (std::uint64_t i = 0; i < run.count; ++i) expanded[at++] = run.size;
   }
   const ExactPackingResult exact =
-      exact_bin_count_bounded(expanded, model, lower, upper, options.exact, arena);
+      exact_bin_count_bounded(expanded, model, lower, upper, options.exact, scratch.arena);
   return {std::max(lower, exact.lower), std::min(upper, exact.upper)};
 }
 
@@ -110,7 +99,8 @@ BinCountBounds optimal_bin_count(std::span<const double> sizes, const CostModel&
     DBP_REQUIRE(s > 0.0 && model.fits(s, model.bin_capacity),
                 "size must be in (0, bin capacity]");
   }
-  return compute_rle(rle_from_sorted(sorted), model, options, nullptr);
+  BinCountScratch scratch;
+  return compute_rle(rle_from_sorted(sorted), model, options, scratch);
 }
 
 BinCountBounds optimal_bin_count_rle(std::span<const SizeRun> runs,
@@ -118,7 +108,8 @@ BinCountBounds optimal_bin_count_rle(std::span<const SizeRun> runs,
                                      const BinCountOptions& options) {
   model.validate();
   rle_validate(runs, model);
-  return compute_rle(runs, model, options, nullptr);
+  BinCountScratch scratch;
+  return compute_rle(runs, model, options, scratch);
 }
 
 BinCountBounds optimal_bin_count_rle(std::span<const SizeRun> runs,
@@ -127,7 +118,7 @@ BinCountBounds optimal_bin_count_rle(std::span<const SizeRun> runs,
                                      BinCountScratch& scratch) {
   model.validate();
   rle_validate(runs, model);
-  return compute_rle(runs, model, options, &scratch);
+  return compute_rle(runs, model, options, scratch);
 }
 
 BinCountOracle::BinCountOracle(CostModel model, BinCountOptions options,
@@ -144,7 +135,7 @@ BinCountBounds BinCountOracle::count_rle(std::span<const SizeRun> runs) {
   // Transparent probe first: only a miss pays for the owning key copy
   // (inside store_rle).
   if (const auto cached = lookup_rle(runs)) return *cached;
-  const BinCountBounds bounds = compute_rle(runs, model_, options_, nullptr);
+  const BinCountBounds bounds = compute_rle(runs, model_, options_, scratch_);
   store_rle(runs, bounds);
   return bounds;
 }

@@ -11,6 +11,7 @@
 #include "core/types.hpp"
 #include "opt/exact.hpp"
 #include "opt/rle.hpp"
+#include "opt/scratch.hpp"
 
 namespace dbp {
 
@@ -32,40 +33,42 @@ struct BinCountOptions {
   double equal_size_rel_tolerance = 1e-12;
 };
 
-/// Computes bounds for the given multiset. Fast paths (exact, O(n)):
-/// empty, everything-fits-one-bin, all-equal sizes. General path:
-/// max(L1, L2) lower, min(FFD, BFD) upper, then the exact solver
-/// (opt/exact.hpp: dual-feasible bound + bin-completion search) to close.
+/// Computes bounds for the given multiset (any order): sorts, compresses and
+/// runs optimal_bin_count_rle on a call-local scratch. Fast paths (exact,
+/// O(n)): empty, everything-fits-one-bin, all-equal sizes. General path:
+/// L2 lower (which dominates L1), min(FFD, BFD) upper, then the exact
+/// solver (opt/exact.hpp: dual-feasible bound + bin-completion search) to
+/// close.
 [[nodiscard]] BinCountBounds optimal_bin_count(std::span<const double> sizes,
                                                const CostModel& model,
                                                const BinCountOptions& options = {});
 
-/// Run-length-encoded entry point (strictly decreasing run sizes).
-/// Bit-identical to optimal_bin_count on the expanded multiset — the
-/// heuristic chain runs on the compressed form via the `_rle` variants
-/// (which replay the flat floating-point sequence exactly) and the exact
-/// solver, when needed, runs on a transient expansion. Thread-safe: pure.
-[[nodiscard]] BinCountBounds optimal_bin_count_rle(std::span<const SizeRun> runs,
-                                                   const CostModel& model,
-                                                   const BinCountOptions& options = {});
-
-struct BinCountScratch;
-
-/// Scratch variant: identical bounds, but every working structure (L2
-/// prefix arrays, FFD tree, BFD residual index, exact-solver expansion and
-/// stack) is reused from `scratch` — see opt/scratch.hpp. The OPT_total
-/// evaluate phase calls this once per distinct snapshot with a per-worker
-/// scratch, making the phase allocation-free in steady state.
+/// Run-length-encoded entry point (strictly decreasing run sizes): the core
+/// every other entry point adapts to. Every working structure (L2 prefix
+/// arrays, FFD tree, BFD residual index, exact-solver expansion and stack)
+/// is reused from `scratch` — see opt/scratch.hpp. The OPT_total evaluate
+/// phase calls this once per distinct snapshot with a per-worker scratch,
+/// making the phase allocation-free in steady state. Bit-identical to
+/// optimal_bin_count on the expanded multiset: the kernels replay the
+/// per-item floating-point sequence exactly and the exact solver, when
+/// needed, runs on a transient expansion.
 [[nodiscard]] BinCountBounds optimal_bin_count_rle(std::span<const SizeRun> runs,
                                                    const CostModel& model,
                                                    const BinCountOptions& options,
                                                    BinCountScratch& scratch);
 
+/// The same computation on a call-local scratch. Thread-safe: pure.
+[[nodiscard]] BinCountBounds optimal_bin_count_rle(std::span<const SizeRun> runs,
+                                                   const CostModel& model,
+                                                   const BinCountOptions& options = {});
+
 /// Memoizing wrapper around the bin-count computation, keyed on the exact
 /// run-length-encoded multiset. The OPT_total estimator evaluates the active
 /// multiset at every event boundary; adversarial and cyclic workloads
-/// revisit the same multiset many times. Not thread-safe — the estimator's
-/// parallel phase computes misses via the pure optimal_bin_count_rle and
+/// revisit the same multiset many times. Misses are computed on a scratch
+/// the oracle owns, so a long-lived oracle (the engine's per-epoch one)
+/// reuses its working storage across calls. Not thread-safe — the
+/// estimator's parallel phase computes misses with per-worker scratches and
 /// stores them sequentially.
 class BinCountOracle {
  public:
@@ -116,6 +119,7 @@ class BinCountOracle {
   CostModel model_;
   BinCountOptions options_;
   std::size_t memo_limit_;
+  BinCountScratch scratch_;  ///< working storage of count_rle misses
   // DBP_LINT_ALLOW(unordered-container): memo lookups by exact RLE key;
   // eviction keeps every entry with seq >= cutoff, so the surviving set is
   // determined by insertion sequence, not by iteration order.

@@ -4,6 +4,13 @@
 // classical bin packing problem over the multiset of active item sizes.
 // FFD/BFD provide upper bounds; opt/lower_bounds.hpp provides lower bounds;
 // opt/exact.hpp closes the gap when affordable.
+//
+// Both heuristics take the run-length-encoded multiset (strictly decreasing
+// run sizes, opt/rle.hpp) and a caller-owned residual structure that is
+// cleared and reused, so a caller evaluating many multisets in a row (a
+// BinCountScratch, opt/scratch.hpp) touches no heap in steady state.
+// tests/reference_packing.hpp keeps the textbook per-item loops they are
+// differentially tested against.
 #pragma once
 
 #include <span>
@@ -14,54 +21,27 @@
 
 namespace dbp {
 
-/// Number of bins First Fit Decreasing uses to pack `sizes` into bins of
-/// capacity model.bin_capacity (tolerance-aware). O(n log n).
-[[nodiscard]] std::size_t first_fit_decreasing(std::span<const double> sizes,
-                                               const CostModel& model);
-
-/// Number of bins Best Fit Decreasing uses. O(n log n).
-[[nodiscard]] std::size_t best_fit_decreasing(std::span<const double> sizes,
-                                              const CostModel& model);
-
-/// Pre-sorted variants (sizes must be non-increasing); used on hot paths
-/// where the caller maintains sorted order.
-[[nodiscard]] std::size_t first_fit_decreasing_sorted(std::span<const double> sorted_desc,
-                                                      const CostModel& model);
-[[nodiscard]] std::size_t best_fit_decreasing_sorted(std::span<const double> sorted_desc,
-                                                     const CostModel& model);
-
-/// Run-length-encoded variants (strictly decreasing run sizes). Bit-identical
-/// to the `_sorted` variants on the expanded multiset: equal consecutive
-/// items land in the same bin under FFD, so a whole run is placed with one
-/// tree search per target bin while the per-item residual subtractions are
-/// replayed unchanged; BFD replays its per-item multiset walk verbatim.
-/// first_fit_decreasing_rle is O(d log b + placements) for d runs instead of
-/// O(n log b) for n items.
-[[nodiscard]] std::size_t first_fit_decreasing_rle(std::span<const SizeRun> runs,
-                                                   const CostModel& model);
-[[nodiscard]] std::size_t best_fit_decreasing_rle(std::span<const SizeRun> runs,
-                                                  const CostModel& model);
-
 class MaxSegmentTree;
 
-/// Scratch variants for callers that evaluate many multisets in a row (the
-/// OPT_total evaluate phase, see opt/scratch.hpp): the residual structures
-/// are clear()ed and reused instead of rebuilt, so steady-state calls touch
-/// no heap. Results are identical to the scratch-free overloads.
-///
-/// FFD reuses the caller's segment tree (clear() keeps its storage).
+/// Number of bins First Fit Decreasing uses to pack the expanded multiset
+/// into bins of capacity model.bin_capacity (tolerance-aware). Equal
+/// consecutive items land in the same bin under FFD, so a whole run is
+/// placed with one tree search per target bin while the per-item residual
+/// subtractions are replayed unchanged: O(d log b + placements) for d runs
+/// instead of O(n log b) for n items. `residuals` is clear()ed first; its
+/// storage is retained.
 [[nodiscard]] std::size_t first_fit_decreasing_rle(std::span<const SizeRun> runs,
                                                    const CostModel& model,
-                                                   MaxSegmentTree& scratch_tree);
+                                                   MaxSegmentTree& residuals);
 
-/// BFD on a flat ascending-sorted residual vector instead of the reference
-/// std::multiset. Value-equivalent by construction: lower_bound on a sorted
-/// double vector selects the same residual *value* the multiset's
-/// lower_bound does, and erase/insert keep the same sorted value sequence
-/// (ties are interchangeable — only values are ever read), so the per-item
-/// subtraction sequence and the bin count match the multiset walk exactly.
+/// Number of bins Best Fit Decreasing uses, on a flat ascending-sorted
+/// residual vector (clear()ed first, capacity retained). lower_bound on it
+/// selects the same residual *value* the textbook std::multiset walk does,
+/// and erase/insert keep the same sorted value sequence (ties are
+/// interchangeable — only values are ever read), so the per-item
+/// subtraction sequence and the bin count match the per-item loop exactly.
 [[nodiscard]] std::size_t best_fit_decreasing_rle(std::span<const SizeRun> runs,
                                                   const CostModel& model,
-                                                  std::vector<double>& scratch_residuals);
+                                                  std::vector<double>& residuals);
 
 }  // namespace dbp

@@ -10,6 +10,7 @@
 #include "core/error.hpp"
 #include "opt/classical.hpp"
 #include "opt/lower_bounds.hpp"
+#include "opt/scratch.hpp"
 
 namespace dbp {
 
@@ -374,11 +375,13 @@ ExactPackingResult exact_bin_count(std::span<const double> sizes,
   model.validate();
   std::vector<double> sorted(sizes.begin(), sizes.end());
   std::sort(sorted.begin(), sorted.end(), std::greater<>());
-  const std::size_t lower = l2_lower_bound_sorted(sorted, model);
-  const std::size_t upper = std::min(first_fit_decreasing_sorted(sorted, model),
-                                     best_fit_decreasing_sorted(sorted, model));
-  MonotonicArena scratch;
-  return exact_bin_count_bounded(sorted, model, lower, upper, options, scratch);
+  const std::vector<SizeRun> runs = rle_from_sorted(sorted);
+  BinCountScratch scratch;
+  const std::size_t lower = l2_lower_bound_rle(runs, model, scratch.arena);
+  const std::size_t upper =
+      std::min(first_fit_decreasing_rle(runs, model, scratch.ffd_tree),
+               best_fit_decreasing_rle(runs, model, scratch.bfd_residuals));
+  return exact_bin_count_bounded(sorted, model, lower, upper, options, scratch.arena);
 }
 
 ExactPackingResult exact_bin_count_bounded(std::span<const double> sorted_desc,

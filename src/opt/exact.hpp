@@ -43,7 +43,7 @@ class MonotonicArena;
 
 /// Search-only entry point for callers that already hold valid bounds:
 /// `sorted_desc` must be non-increasing, `lower` must come from
-/// l2_lower_bound_* and `upper` from min(FFD, BFD) over the same multiset.
+/// l2_lower_bound_rle and `upper` from min(FFD, BFD) over the same multiset.
 /// Under that contract the result is bit-identical to exact_bin_count (which
 /// recomputes exactly those bounds before calling this); every working array
 /// comes out of `scratch`, so a caller that resets the arena between

@@ -15,34 +15,18 @@
 
 namespace dbp {
 
-/// L1 (continuous/area bound): ceil(sum sizes / W'). 0 for the empty set.
-[[nodiscard]] std::size_t l1_lower_bound(std::span<const double> sizes,
-                                         const CostModel& model);
-
-/// L2 (Martello-Toth): partitions items around a threshold alpha and counts
-/// bins that large items force open; maximized over all candidate alphas.
-/// Dominates L1. O(n log n).
-[[nodiscard]] std::size_t l2_lower_bound(std::span<const double> sizes,
-                                         const CostModel& model);
-
-/// Pre-sorted variant (non-increasing sizes).
-[[nodiscard]] std::size_t l2_lower_bound_sorted(std::span<const double> sorted_desc,
-                                                const CostModel& model);
-
-/// Run-length-encoded variant (strictly decreasing run sizes). Bit-identical
-/// to l2_lower_bound_sorted on the expanded multiset: every index the flat
-/// algorithm touches (threshold partitions, candidate alphas) is a run
-/// boundary, so only boundary prefix sums are materialized — O(d log d)
-/// bookkeeping for d runs on top of the O(n) compensated summation.
-[[nodiscard]] std::size_t l2_lower_bound_rle(std::span<const SizeRun> runs,
-                                             const CostModel& model);
-
 class MonotonicArena;
 
-/// Scratch variant: the boundary prefix arrays come out of `scratch` instead
-/// of the heap, so a caller that resets the arena between snapshots (see
-/// opt/scratch.hpp) pays zero allocations in steady state. Bit-identical to
-/// the overload above.
+/// L2 (Martello-Toth) on the run-length-encoded multiset (strictly
+/// decreasing run sizes): partitions items around a threshold alpha and
+/// counts bins that large items force open, maximized over all candidate
+/// alphas and floored at L1 (ceil of the total volume), so it dominates L1.
+/// Every index the per-item algorithm touches (threshold
+/// partitions, candidate alphas) is a run boundary, so only boundary prefix
+/// sums are materialized — O(d log d) bookkeeping for d runs on top of the
+/// O(n) compensated summation. The boundary arrays come out of `scratch`, so
+/// a caller that resets the arena between snapshots (opt/scratch.hpp) pays
+/// zero allocations in steady state. 0 for the empty set.
 [[nodiscard]] std::size_t l2_lower_bound_rle(std::span<const SizeRun> runs,
                                              const CostModel& model,
                                              MonotonicArena& scratch);

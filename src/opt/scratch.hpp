@@ -1,19 +1,17 @@
-// Reusable per-worker scratch for the bin-count computation.
+// Reusable working storage for the bin-count computation.
 //
-// The OPT_total evaluate phase calls optimal_bin_count_rle once per distinct
-// snapshot — routinely ~10k times per estimate. Each call's working set (an
-// FFD segment tree, a BFD residual index, L2 prefix arrays, the exact
-// solver's expansion and branch stack) is small but was heap-allocated
-// afresh every time, so the phase spent a large share of its time in the
-// allocator instead of in the bounds math. A BinCountScratch owns all of
-// that storage once per worker: containers are clear()ed between snapshots
-// (capacity retained) and transient arrays come out of a monotonic arena
-// that is reset() per call, so after the first few snapshots the evaluate
-// phase performs zero heap allocations (core/arena.hpp documents the
-// discipline; the arena counters are the regression-test hook).
+// Every bin count (opt/bin_count.hpp) runs on a BinCountScratch: an FFD
+// segment tree, a BFD residual index, and a monotonic arena for the L2
+// prefix arrays and the exact solver's expansion and branch stack.
+// Containers are clear()ed between snapshots (capacity retained) and the
+// arena is reset() per call, so a caller that keeps one scratch across
+// calls — an OPT_total evaluate worker (~10k snapshots per estimate), the
+// engine's epoch oracle — performs zero heap allocations after the first
+// few snapshots (core/arena.hpp documents the discipline; the arena
+// counters are the regression-test hook). One-shot callers go through the
+// adapters that build a call-local scratch.
 //
-// Not thread-safe — one scratch per worker. The scratch path is bit-identical
-// to the scratch-free one: it reuses storage, never changes the computation.
+// Not thread-safe — one scratch per worker.
 #pragma once
 
 #include <vector>
@@ -32,8 +30,8 @@ struct BinCountScratch {
   MaxSegmentTree ffd_tree;
 
   /// BFD residual index: a flat ascending-sorted vector standing in for the
-  /// scratch-free path's std::multiset<double> (opt/classical.cpp documents
-  /// the value-equivalence). clear()ed per call, capacity retained.
+  /// textbook std::multiset<double> (opt/classical.hpp documents the
+  /// value-equivalence). clear()ed per call, capacity retained.
   std::vector<double> bfd_residuals;
 };
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "reference_packing.hpp"
 #include "workload/rng.hpp"
 
 namespace dbp {
@@ -160,27 +161,85 @@ TEST(BinCountRleTest, MatchesFlatComputationOnRandomMultisets) {
   }
 }
 
-TEST(BinCountRleTest, MatchesFlatWithoutExactSolver) {
-  // With the solver off, the bounds come straight from the RLE heuristic
-  // chain (L2 / FFD / BFD) — this pins their bit-identity to the flat code.
-  BinCountOptions options;
-  options.use_exact_solver = false;
+TEST(BinCountRleTest, KernelsMatchPerItemReference) {
+  // optimal_bin_count is itself an adapter over the RLE core, so the
+  // kernels' real oracle is the textbook per-item loops: every multiset
+  // drawn here runs through FFD, BFD and L2 on both sides, at zero and
+  // nonzero tolerance and two capacities. One scratch is reused across all
+  // draws, as the OPT_total workers and the engine oracle reuse theirs.
   Rng rng(23);
-  for (int round = 0; round < 30; ++round) {
-    std::vector<double> sizes;
-    const std::size_t n = 5 + rng.uniform_int(0, 200);
-    for (std::size_t i = 0; i < n; ++i) {
-      sizes.push_back(rng.bernoulli(0.5)
-                          ? rng.uniform(0.02, 0.6)
-                          : 0.05 * static_cast<double>(rng.uniform_int(1, 12)));
+  const double third = 1.0 / 3.0;
+  const std::vector<double> edges{
+      1.0,  std::nextafter(1.0, 0.0), 0.5,  std::nextafter(0.5, 1.0),
+      std::nextafter(0.5, 0.0), third, std::nextafter(third, 1.0),
+      std::nextafter(third, 0.0), 0.25, std::nextafter(0.25, 1.0),
+      std::nextafter(0.25, 0.0), 0.2, 0.1};
+  const auto draw = [&](int family) {
+    std::vector<double> fractions;
+    switch (family) {
+      case 0:  // continuous, mostly distinct sizes
+        for (std::uint64_t i = rng.uniform_int(1, 150); i > 0; --i) {
+          fractions.push_back(rng.uniform(0.02, 0.98));
+        }
+        break;
+      case 1:  // duplicate-heavy: a few grid sizes, long runs
+        for (std::uint64_t d = rng.uniform_int(1, 4); d > 0; --d) {
+          const double size = 0.05 * static_cast<double>(rng.uniform_int(1, 19));
+          fractions.insert(fractions.end(), rng.uniform_int(1, 200), size);
+        }
+        break;
+      case 2:  // decimal and dyadic sizes whose sums hit a bin exactly
+        for (std::uint64_t i = rng.uniform_int(1, 120); i > 0; --i) {
+          fractions.push_back(rng.bernoulli(0.5)
+                                  ? 0.1 * static_cast<double>(rng.uniform_int(1, 9))
+                                  : 0.125 * static_cast<double>(rng.uniform_int(1, 4)));
+        }
+        break;
+      case 3:  // large items beside medium ones: L2's thresholds beat volume
+        for (std::uint64_t d = rng.uniform_int(2, 5); d > 0; --d) {
+          const double size = rng.bernoulli(0.5)
+                                  ? 0.05 * static_cast<double>(rng.uniform_int(11, 16))
+                                  : 0.05 * static_cast<double>(rng.uniform_int(4, 9));
+          fractions.insert(fractions.end(), rng.uniform_int(1, 15), size);
+        }
+        break;
+      default:  // one ulp either side of 1/k of a bin
+        for (std::uint64_t i = rng.uniform_int(1, 60); i > 0; --i) {
+          fractions.push_back(edges[rng.uniform_int(0, edges.size() - 1)]);
+        }
+        break;
     }
-    std::sort(sizes.begin(), sizes.end(), std::greater<>());
-    const std::vector<SizeRun> runs = rle_from_sorted(sizes);
-    const BinCountBounds flat = optimal_bin_count(sizes, unit_model(), options);
-    const BinCountBounds rle = optimal_bin_count_rle(runs, unit_model(), options);
-    EXPECT_EQ(flat.lower, rle.lower) << "round " << round;
-    EXPECT_EQ(flat.upper, rle.upper) << "round " << round;
+    return fractions;
+  };
+
+  BinCountScratch scratch;
+  std::size_t l2_above_l1 = 0;
+  for (int round = 0; round < 250; ++round) {
+    const std::vector<double> fractions = draw(round % 5);
+    for (const CostModel& model :
+         {CostModel{1.0, 1.0, 0.0}, CostModel{1.0, 1.0, 1e-9}, CostModel{10.0, 1.0, 1e-9}}) {
+      std::vector<double> sizes;
+      for (double f : fractions) sizes.push_back(f * model.bin_capacity);
+      std::sort(sizes.begin(), sizes.end(), std::greater<>());
+      const std::vector<SizeRun> runs = rle_from_sorted(sizes);
+      scratch.arena.reset();
+      EXPECT_EQ(first_fit_decreasing_rle(runs, model, scratch.ffd_tree),
+                reference::first_fit_decreasing(sizes, model))
+          << "FFD round " << round << " W " << model.bin_capacity << " tol "
+          << model.fit_tolerance;
+      EXPECT_EQ(best_fit_decreasing_rle(runs, model, scratch.bfd_residuals),
+                reference::best_fit_decreasing(sizes, model))
+          << "BFD round " << round << " W " << model.bin_capacity << " tol "
+          << model.fit_tolerance;
+      const std::size_t l2 = reference::l2_lower_bound(sizes, model);
+      EXPECT_EQ(l2_lower_bound_rle(runs, model, scratch.arena), l2)
+          << "L2 round " << round << " W " << model.bin_capacity << " tol "
+          << model.fit_tolerance;
+      if (l2 > reference::l1_lower_bound(sizes, model)) ++l2_above_l1;
+    }
   }
+  // The draws must exercise L2's thresholds, not just its volume floor.
+  EXPECT_GT(l2_above_l1, 50u);
 }
 
 TEST(BinCountRleTest, RejectsMalformedRuns) {

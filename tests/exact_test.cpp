@@ -4,15 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "brute_force_packing.hpp"
-#include "opt/classical.hpp"
-#include "opt/lower_bounds.hpp"
-#include "opt/rle.hpp"
+#include "reference_packing.hpp"
 
 namespace dbp {
 namespace {
@@ -35,12 +32,10 @@ struct Certified {
 
 Certified certify(const std::vector<double>& sizes, const CostModel& model,
                   const std::string& label) {
-  std::vector<double> sorted = sizes;
-  std::sort(sorted.begin(), sorted.end(), std::greater<>());
-  const std::size_t heuristic = std::min(first_fit_decreasing(sorted, model),
-                                         best_fit_decreasing(sorted, model));
-  const std::size_t bound = std::max(l2_lower_bound(sorted, model),
-                                     dff_lower_bound_rle(rle_from_sorted(sorted), model));
+  const std::size_t heuristic =
+      std::min(reference::ffd_of(sizes, model), reference::bfd_of(sizes, model));
+  const std::size_t bound =
+      std::max(reference::l2_of(sizes, model), reference::dff_of(sizes, model));
   const ExactPackingResult result = exact_bin_count(sizes, model);
   const brute::Packing witness = brute::optimal_packing(sizes, model);
   EXPECT_TRUE(brute::packing_fits(witness, model)) << label;
@@ -62,7 +57,7 @@ TEST(ExactTest, TrivialCases) {
 TEST(ExactTest, BeatsFfdOnKnownHardInstance) {
   // FFD uses 3 bins; optimum is 2: {0.4, 0.35, 0.25} {0.45, 0.3, 0.25}.
   const std::vector<double> sizes{0.45, 0.4, 0.35, 0.3, 0.25, 0.25};
-  const std::size_t ffd = first_fit_decreasing(sizes, unit_model());
+  const std::size_t ffd = reference::ffd_of(sizes, unit_model());
   const ExactPackingResult result = exact_bin_count(sizes, unit_model());
   EXPECT_TRUE(result.proven);
   EXPECT_EQ(result.upper, 2u);
@@ -178,8 +173,8 @@ TEST(ExactTest, BudgetAbortKeepsSoundBounds) {
   options.node_budget = 10;
   const ExactPackingResult result = exact_bin_count(sizes, unit_model(), options);
   EXPECT_LE(result.lower, result.upper);
-  EXPECT_GE(result.lower, l2_lower_bound(sizes, unit_model()));
-  EXPECT_LE(result.upper, first_fit_decreasing(sizes, unit_model()));
+  EXPECT_GE(result.lower, reference::l2_of(sizes, unit_model()));
+  EXPECT_LE(result.upper, reference::ffd_of(sizes, unit_model()));
   ASSERT_FALSE(result.proven);
   EXPECT_EQ(result.nodes, options.node_budget + 1);
 }

@@ -2,52 +2,67 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <functional>
+#include <cmath>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "brute_force_packing.hpp"
+#include "core/arena.hpp"
 #include "core/error.hpp"
-#include "opt/classical.hpp"
+#include "reference_packing.hpp"
 
 namespace dbp {
 namespace {
 
+using reference::dff_of;
+using reference::ffd_of;
+using reference::l2_of;
+
 CostModel unit_model() { return CostModel{1.0, 1.0, 1e-9}; }
 
+// L1 survives as the reference L2's floor (reference_packing.hpp) and as
+// the alpha = 0 floor inside l2_lower_bound_rle; on these multisets no
+// threshold beats the volume, so the kernel must return L1 exactly.
 TEST(L1Test, EmptyIsZero) {
-  EXPECT_EQ(l1_lower_bound({}, unit_model()), 0u);
+  EXPECT_EQ(reference::l1_lower_bound({}, unit_model()), 0u);
+  EXPECT_EQ(l2_of({}, unit_model()), 0u);
 }
 
 TEST(L1Test, CeilOfTotalSize) {
-  EXPECT_EQ(l1_lower_bound(std::vector<double>{0.5, 0.5, 0.1}, unit_model()), 2u);
-  EXPECT_EQ(l1_lower_bound(std::vector<double>{0.2}, unit_model()), 1u);
-  EXPECT_EQ(l1_lower_bound(std::vector<double>{1.0, 1.0}, unit_model()), 2u);
+  for (const auto& [sizes, bins] : std::vector<std::pair<std::vector<double>, std::size_t>>{
+           {{0.5, 0.5, 0.1}, 2}, {{0.2}, 1}, {{1.0, 1.0}, 2}}) {
+    EXPECT_EQ(reference::l1_lower_bound(sizes, unit_model()), bins);
+    EXPECT_EQ(l2_of(sizes, unit_model()), bins);
+  }
 }
 
 TEST(L1Test, ToleratesFloatNoise) {
   // 10 x 0.1 sums to 1 + ulp; L1 must say 1, not 2.
-  EXPECT_EQ(l1_lower_bound(std::vector<double>(10, 0.1), unit_model()), 1u);
-  EXPECT_EQ(l1_lower_bound(std::vector<double>(30, 0.1), unit_model()), 3u);
+  for (const auto& [count, bins] :
+       std::vector<std::pair<std::size_t, std::size_t>>{{10, 1}, {30, 3}}) {
+    const std::vector<double> sizes(count, 0.1);
+    EXPECT_EQ(reference::l1_lower_bound(sizes, unit_model()), bins);
+    EXPECT_EQ(l2_of(sizes, unit_model()), bins);
+  }
 }
 
 TEST(L2Test, DominatesL1OnLargeItems) {
   // Three items of 0.6: L1 = ceil(1.8) = 2, but no two fit together: L2 = 3.
   const std::vector<double> sizes{0.6, 0.6, 0.6};
-  EXPECT_EQ(l1_lower_bound(sizes, unit_model()), 2u);
-  EXPECT_EQ(l2_lower_bound(sizes, unit_model()), 3u);
+  EXPECT_EQ(reference::l1_lower_bound(sizes, unit_model()), 2u);
+  EXPECT_EQ(l2_of(sizes, unit_model()), 3u);
 }
 
 TEST(L2Test, MixedLargeAndSmall) {
   // 0.9-items pair with nothing >= 0.2; alpha = 0.2 separates them.
   const std::vector<double> sizes{0.9, 0.9, 0.2, 0.2, 0.2};
-  EXPECT_EQ(l2_lower_bound(sizes, unit_model()), 3u);
+  EXPECT_EQ(l2_of(sizes, unit_model()), 3u);
 }
 
 TEST(L2Test, EqualsL1ForTinyItems) {
   const std::vector<double> sizes(35, 0.1);
-  EXPECT_EQ(l2_lower_bound(sizes, unit_model()), 4u);
+  EXPECT_EQ(l2_of(sizes, unit_model()), 4u);
 }
 
 TEST(L2Test, NeverExceedsFfd) {
@@ -60,16 +75,14 @@ TEST(L2Test, NeverExceedsFfd) {
       {0.99, 0.01, 0.5},
   };
   for (const auto& sizes : cases) {
-    EXPECT_LE(l2_lower_bound(sizes, unit_model()),
-              first_fit_decreasing(sizes, unit_model()));
-    EXPECT_GE(l2_lower_bound(sizes, unit_model()),
-              l1_lower_bound(sizes, unit_model()));
+    EXPECT_LE(l2_of(sizes, unit_model()), ffd_of(sizes, unit_model()));
+    EXPECT_GE(l2_of(sizes, unit_model()), reference::l1_lower_bound(sizes, unit_model()));
   }
 }
 
 TEST(L2Test, HalfPlusEpsilonItems) {
   const std::vector<double> sizes{0.51, 0.51, 0.51, 0.51, 0.51};
-  EXPECT_EQ(l2_lower_bound(sizes, unit_model()), 5u);
+  EXPECT_EQ(l2_of(sizes, unit_model()), 5u);
 }
 
 TEST(L2Test, SpareThatExactlyAbsorbsS3AddsNoBin) {
@@ -79,31 +92,27 @@ TEST(L2Test, SpareThatExactlyAbsorbsS3AddsNoBin) {
   // used to add a fourth bin.
   const CostModel model{1.0, 1.0, 0.0};
   const std::vector<double> sizes{0.7, 0.6, 0.6, 0.4, 0.4, 0.1};
-  EXPECT_EQ(l2_lower_bound(sizes, model), 3u);
-  EXPECT_EQ(l2_lower_bound_rle(rle_from_sorted(sizes), model), 3u);
+  EXPECT_EQ(reference::l2_lower_bound(sizes, model), 3u);
+  EXPECT_EQ(l2_of(sizes, model), 3u);
   EXPECT_EQ(brute::optimal_packing(sizes, model).size(), 3u);
 }
 
-TEST(L2Test, SortedVariantValidatesOrder) {
-  const std::vector<double> unsorted{0.1, 0.9};
-  EXPECT_THROW((void)l2_lower_bound_sorted(unsorted, unit_model()), PreconditionError);
+TEST(L2Test, RejectsNonDecreasingRuns) {
+  const std::vector<SizeRun> unsorted{{0.1, 1}, {0.9, 1}};
+  MonotonicArena arena;
+  EXPECT_THROW((void)l2_lower_bound_rle(unsorted, unit_model(), arena), PreconditionError);
 }
 
 TEST(L2Test, RejectsNonPositiveSizes) {
-  EXPECT_THROW((void)l1_lower_bound(std::vector<double>{0.0}, unit_model()),
+  EXPECT_THROW((void)l2_of(std::vector<double>{0.0}, unit_model()), PreconditionError);
+  EXPECT_THROW((void)l2_of(std::vector<double>{0.5, -0.1}, unit_model()),
                PreconditionError);
 }
 
 TEST(L2Test, CapacityAware) {
   const CostModel model{10.0, 1.0, 1e-9};
   const std::vector<double> sizes{6.0, 6.0, 6.0};
-  EXPECT_EQ(l2_lower_bound(sizes, model), 3u);
-}
-
-
-std::size_t dff_of(std::vector<double> sizes, const CostModel& model) {
-  std::sort(sizes.begin(), sizes.end(), std::greater<>());
-  return dff_lower_bound_rle(rle_from_sorted(sizes), model);
+  EXPECT_EQ(l2_of(sizes, model), 3u);
 }
 
 TEST(DffTest, EmptyIsZero) {
@@ -166,11 +175,11 @@ TEST(DffTest, CountsHalvesAndThreeEighthsAsHalfBins) {
   // room for a 1/4), and one 1/2 + 3/8.
   const CostModel model{1.0, 1.0, 1e-9};
   const std::vector<SizeRun> runs{{0.5, 227}, {0.375, 188}, {0.25, 40}, {0.125, 2}};
-  std::vector<double> flat;
-  rle_expand(runs, flat);
-  EXPECT_LT(l2_lower_bound_rle(runs, model), 208u);
+  MonotonicArena arena;
+  MaxSegmentTree tree;
+  EXPECT_LT(l2_lower_bound_rle(runs, model, arena), 208u);
   EXPECT_EQ(dff_lower_bound_rle(runs, model), 208u);
-  EXPECT_EQ(first_fit_decreasing(flat, model), 208u);
+  EXPECT_EQ(first_fit_decreasing_rle(runs, model, tree), 208u);
 }
 
 }  // namespace

@@ -70,6 +70,32 @@ void* operator new(std::size_t size, std::align_val_t alignment) {
 void* operator new[](std::size_t size, std::align_val_t alignment) {
   return counted_allocate_aligned(size, static_cast<std::size_t>(alignment));
 }
+// The nothrow forms must be replaced too: std::inplace_merge and
+// std::stable_sort get their temporary buffers through them, and a library
+// nothrow new paired with the free() below is an allocator mismatch that
+// AddressSanitizer aborts on.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_allocate(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return operator new(size, std::nothrow);
+}
+void* operator new(std::size_t size, std::align_val_t alignment,
+                   const std::nothrow_t&) noexcept {
+  try {
+    return counted_allocate_aligned(size, static_cast<std::size_t>(alignment));
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, std::align_val_t alignment,
+                     const std::nothrow_t&) noexcept {
+  return operator new(size, alignment, std::nothrow);
+}
 
 void operator delete(void* ptr) noexcept { std::free(ptr); }
 void operator delete[](void* ptr) noexcept { std::free(ptr); }
@@ -81,6 +107,14 @@ void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept {
   std::free(ptr);
 }
 void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
+  std::free(ptr);
+}
+void operator delete(void* ptr, const std::nothrow_t&) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, const std::nothrow_t&) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+void operator delete[](void* ptr, std::align_val_t, const std::nothrow_t&) noexcept {
   std::free(ptr);
 }
 
