@@ -48,6 +48,25 @@ class MaxSegmentTree {
     return pos;
   }
 
+  /// Appends `count` positions all holding `value`, with the same resulting
+  /// tree as `count` push_backs: the leaves are written first, then each
+  /// level recomputes only the parents of the new leaves, once —
+  /// O(count + log size) instead of one root climb per position.
+  void append(double value, std::size_t count) {
+    if (count == 0) return;
+    const std::size_t first = size_;
+    while (capacity_ < size_ + count) grow();
+    size_ += count;
+    std::fill(tree_.begin() + static_cast<std::ptrdiff_t>(capacity_ + first),
+              tree_.begin() + static_cast<std::ptrdiff_t>(capacity_ + size_), value);
+    for (std::size_t lo = (capacity_ + first) / 2, hi = (capacity_ + size_ - 1) / 2;
+         lo >= 1; lo /= 2, hi /= 2) {
+      for (std::size_t node = lo; node <= hi; ++node) {
+        tree_[node] = std::max(tree_[2 * node], tree_[2 * node + 1]);
+      }
+    }
+  }
+
   /// Overwrites the value at `pos`.
   void assign(std::size_t pos, double value) {
     DBP_REQUIRE(pos < size_, "segment tree position out of range");

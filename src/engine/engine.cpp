@@ -4,7 +4,6 @@
 #include <exception>
 #include <thread>
 
-#include "core/arena.hpp"
 #include "core/error.hpp"
 #include "exec/worker_budget.hpp"
 #include "obs/obs.hpp"
@@ -33,10 +32,8 @@ struct ShardedDispatchEngine::Shard {
 
   BoundedMpscRing<SessionEvent> ring;
   GameServerDispatcher dispatcher;
-  /// Per-shard scratch for epoch snapshots; reset every epoch, so the
-  /// steady state allocates nothing (core/arena.hpp).
-  MonotonicArena scratch;
-  /// Last epoch's RLE snapshot (strictly decreasing sizes).
+  /// Last epoch's RLE snapshot (strictly decreasing sizes); reused, so the
+  /// steady state allocates nothing.
   std::vector<SizeRun> snapshot;
   std::uint64_t applied = 0;
 };
@@ -149,22 +146,7 @@ void ShardedDispatchEngine::pump_locked() {
 }
 
 void ShardedDispatchEngine::snapshot_shards_locked() {
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    shard.scratch.reset();
-    const std::size_t active = shard.dispatcher.active_sessions();
-    const std::span<double> sizes = shard.scratch.allocate_array<double>(active);
-    shard.dispatcher.active_sizes_desc(sizes);
-    // rle_from_sorted, but into the shard's reused vector.
-    shard.snapshot.clear();
-    for (const double size : sizes) {
-      if (!shard.snapshot.empty() && shard.snapshot.back().size == size) {
-        ++shard.snapshot.back().count;
-      } else {
-        shard.snapshot.push_back(SizeRun{size, 1});
-      }
-    }
-  }
+  for (const auto& shard : shards_) shard->dispatcher.active_size_runs(shard->snapshot);
 }
 
 void ShardedDispatchEngine::merge_snapshots_locked() {
@@ -174,7 +156,8 @@ void ShardedDispatchEngine::merge_snapshots_locked() {
   // invariant: the same active sessions yield the same runs for any shard
   // count — the property the cross-shard differential test pins.
   merged_runs_.clear();
-  std::vector<std::size_t> next(shards_.size(), 0);
+  std::vector<std::size_t>& next = merge_cursors_;
+  next.assign(shards_.size(), 0);
   for (;;) {
     bool any = false;
     double best = 0.0;

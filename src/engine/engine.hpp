@@ -2,7 +2,7 @@
 //
 // Promotes the batch-simulated GameServerDispatcher to a long-running
 // service core: N shards, each owning a full dispatcher (BinManager +
-// packer + per-shard MonotonicArena scratch), drain session start/end
+// packer) and a reused RLE snapshot buffer, drain session start/end
 // events from bounded MPSC rings filled by any number of producer threads.
 // A ShardRouter (engine/router.hpp) pins each session to one shard, so
 // per-shard event order is the submission order of that session's producer
@@ -224,6 +224,8 @@ class ShardedDispatchEngine {
   // Epoch state (guarded by pump_mutex_).
   BinCountOracle oracle_;
   std::vector<SizeRun> merged_runs_;
+  /// merge_snapshots_locked's per-shard run cursors, reused across epochs.
+  std::vector<std::size_t> merge_cursors_;
   BinCountBounds last_bounds_{};
   bool have_snapshot_ = false;
   Time last_epoch_time_ = 0.0;

@@ -301,11 +301,8 @@ void GameServerDispatcher::save_state(ByteWriter& out) const {
   // RLE size-multiset cross-check (opt/rle.hpp): a compact semantic summary
   // of the active load, validated independently of the packer bytes on
   // restore so a checkpoint whose halves disagree is rejected, not trusted.
-  std::vector<double> sizes;
-  sizes.reserve(sessions.size());
-  for (const auto& [id, size] : sessions) sizes.push_back(size);
-  std::sort(sizes.begin(), sizes.end(), std::greater<>());
-  const std::vector<SizeRun> runs = rle_from_sorted(sizes);
+  std::vector<SizeRun> runs;
+  active_size_runs(runs);
   out.u64(runs.size());
   for (const SizeRun& run : runs) {
     out.f64(run.size);
@@ -414,14 +411,18 @@ std::size_t GameServerDispatcher::active_sessions() const {
   return packer_->bins().active_item_count();
 }
 
-void GameServerDispatcher::active_sizes_desc(std::span<double> out) const {
-  DBP_REQUIRE(out.size() == sessions_.size(),
-              "active_sizes_desc span must cover exactly the active sessions");
-  std::size_t i = 0;
-  // Collection order is the map's (arbitrary); the sort below makes the
-  // result independent of it.
-  for (const auto& [id, size] : sessions_) out[i++] = size;
-  std::sort(out.begin(), out.end(), std::greater<>());
+void GameServerDispatcher::active_size_runs(std::vector<SizeRun>& out) const {
+  out.clear();
+  for (const auto& [id, size] : sessions_) {
+    const auto it = std::lower_bound(
+        out.begin(), out.end(), size,
+        [](const SizeRun& run, double value) { return run.size > value; });
+    if (it != out.end() && it->size == size) {
+      ++it->count;
+    } else {
+      out.insert(it, SizeRun{size, 1});
+    }
+  }
 }
 
 double GameServerDispatcher::rental_cost_dollars(Time now_minutes) const {

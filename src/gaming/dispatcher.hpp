@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "analysis/ratio.hpp"
 #include "core/types.hpp"
 #include "gaming/fault_policy.hpp"
+#include "opt/rle.hpp"
 #include "workload/cloud_gaming.hpp"
 #include "workload/rng.hpp"
 
@@ -75,12 +75,14 @@ class GameServerDispatcher {
   /// (-inf before any event). Read-only probes may use earlier times.
   [[nodiscard]] Time last_event_time() const noexcept { return last_event_time_; }
 
-  /// Writes the active sessions' GPU fractions into `out` in non-increasing
-  /// order. `out.size()` must equal active_sessions(). Deterministic (the
-  /// values are collected, then sorted), so engine::ShardedDispatchEngine
-  /// can build RLE size-multiset snapshots from it (opt/rle.hpp) into
-  /// arena-backed buffers without touching dispatcher internals.
-  void active_sizes_desc(std::span<double> out) const;
+  /// Replaces `out` with the active sessions' GPU fractions as an RLE
+  /// size multiset (opt/rle.hpp: strictly decreasing sizes, bitwise-equal
+  /// sizes counted together), equal to rle_from_sorted of the sorted sizes.
+  /// Counts into `out`'s storage with a binary search per session —
+  /// O(active * log d) for d distinct sizes — so a caller reusing `out`
+  /// across calls (engine::ShardedDispatchEngine's per-shard snapshot)
+  /// allocates nothing once it has seen d runs.
+  void active_size_runs(std::vector<SizeRun>& out) const;
 
   /// Total rental bill accrued by time `now_minutes` (includes the open
   /// tails of still-running servers). Probing earlier than the event clock
@@ -138,9 +140,11 @@ class GameServerDispatcher {
   DispatcherFaultStats stats_;
   std::unique_ptr<Packer> packer_;
   /// Active session sizes — needed for crash re-dispatch and shedding.
-  // DBP_LINT_ALLOW(unordered-container): point lookups by session id only;
-  // crash re-dispatch and shedding candidates come from the BinManager's
-  // sorted items_in()/open_bins(), never from iterating this map.
+  // DBP_LINT_ALLOW(unordered-container): keyed by session id. Crash
+  // re-dispatch and shedding take their candidates from the BinManager's
+  // sorted items_in()/open_bins(). The two iterations, save_state and
+  // active_size_runs, cannot leak the map's order: save_state sorts the
+  // entries by id, and active_size_runs only counts sizes.
   std::unordered_map<std::uint64_t, double> sessions_;
   Rng rental_rng_;
   Time last_event_time_ = -kTimeInfinity;

@@ -67,9 +67,12 @@ BinCountBounds compute_rle(std::span<const SizeRun> runs, const CostModel& model
 
   scratch.arena.reset();
   const std::size_t lower = l2_lower_bound_rle(runs, model, scratch.arena);
+  const std::size_t ffd = first_fit_decreasing_rle(runs, model, scratch.ffd_tree);
+  // FFD meeting L2 certifies OPT, and BFD >= OPT = L2 could not lower
+  // min(FFD, BFD): the result is the full chain's without running BFD.
+  if (ffd == lower) return {lower, lower};
   const std::size_t upper =
-      std::min(first_fit_decreasing_rle(runs, model, scratch.ffd_tree),
-               best_fit_decreasing_rle(runs, model, scratch.bfd_residuals));
+      std::min(ffd, best_fit_decreasing_rle(runs, model, scratch.bfd_residuals));
   DBP_CHECK(lower <= upper, "L2 exceeds the FFD/BFD bin count");
   if (lower == upper || !options.use_exact_solver) return {lower, upper};
 

@@ -36,9 +36,10 @@ struct BinCountOptions {
 /// Computes bounds for the given multiset (any order): sorts, compresses and
 /// runs optimal_bin_count_rle on a call-local scratch. Fast paths (exact,
 /// O(n)): empty, everything-fits-one-bin, all-equal sizes. General path:
-/// L2 lower (which dominates L1), min(FFD, BFD) upper, then the exact
-/// solver (opt/exact.hpp: dual-feasible bound + bin-completion search) to
-/// close.
+/// L2 lower (which dominates L1), then FFD — when FFD meets L2 the count is
+/// certified and BFD (>= OPT) is skipped — else min(FFD, BFD) upper, then
+/// the exact solver (opt/exact.hpp: dual-feasible bound + bin-completion
+/// search) to close.
 [[nodiscard]] BinCountBounds optimal_bin_count(std::span<const double> sizes,
                                                const CostModel& model,
                                                const BinCountOptions& options = {});

@@ -23,15 +23,32 @@ std::size_t first_fit_decreasing_rle(std::span<const SizeRun> runs,
   for (const SizeRun& run : runs) {
     std::uint64_t remaining = run.count;
     while (remaining > 0) {
-      auto pos = residuals.find_leftmost(
-          [&](double residual) { return model.fits(run.size, residual); });
-      if (!pos) pos = residuals.push_back(model.bin_capacity);
+      const auto pos = residuals.find_first_fit(run.size, model.fit_tolerance);
+      if (!pos) break;
       double residual = residuals.value_at(*pos);
       while (remaining > 0 && model.fits(run.size, residual)) {
         residual -= run.size;
         --remaining;
       }
       residuals.assign(*pos, residual);
+    }
+    if (remaining == 0) continue;
+    // No open bin fits, so the rest of the run opens fresh bins, each
+    // replaying the same subtraction sequence from W: replay one full bin,
+    // append copies of its residual in one tree update, then replay the
+    // partial last bin.
+    double full = model.bin_capacity;
+    std::uint64_t per_bin = 0;
+    while (per_bin < remaining && model.fits(run.size, full)) {
+      full -= run.size;
+      ++per_bin;
+    }
+    residuals.append(full, static_cast<std::size_t>(remaining / per_bin));
+    remaining %= per_bin;
+    if (remaining > 0) {
+      double partial = model.bin_capacity;
+      for (; remaining > 0; --remaining) partial -= run.size;
+      residuals.push_back(partial);
     }
   }
   return residuals.size();

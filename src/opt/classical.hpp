@@ -25,9 +25,13 @@ class MaxSegmentTree;
 
 /// Number of bins First Fit Decreasing uses to pack the expanded multiset
 /// into bins of capacity model.bin_capacity (tolerance-aware). Equal
-/// consecutive items land in the same bin under FFD, so a whole run is
-/// placed with one tree search per target bin while the per-item residual
-/// subtractions are replayed unchanged: O(d log b + placements) for d runs
+/// consecutive items land in the same bin under FFD, so a run is placed
+/// with one tree search per open bin it tops up while the per-item residual
+/// subtractions are replayed unchanged. The rest of the run, once no open
+/// bin fits, goes to fresh bins that all replay one sequence from W: one
+/// replay, then one bulk append of the full bins' residuals
+/// (MaxSegmentTree::append). O((d + u) log b + m + f) for d runs, u
+/// open-bin top-ups, m items topped up into open bins and f fresh bins,
 /// instead of O(n log b) for n items. `residuals` is clear()ed first; its
 /// storage is retained.
 [[nodiscard]] std::size_t first_fit_decreasing_rle(std::span<const SizeRun> runs,

@@ -161,6 +161,90 @@ TEST(BinCountRleTest, MatchesFlatComputationOnRandomMultisets) {
   }
 }
 
+/// Fractions of a bin for the differential tests, by family. The families
+/// after 0 are the inputs whose floating-point edges the RLE kernels must
+/// replay exactly.
+std::vector<double> draw_fractions(Rng& rng, int family) {
+  const double third = 1.0 / 3.0;
+  const std::vector<double> edges{
+      1.0,  std::nextafter(1.0, 0.0), 0.5,  std::nextafter(0.5, 1.0),
+      std::nextafter(0.5, 0.0), third, std::nextafter(third, 1.0),
+      std::nextafter(third, 0.0), 0.25, std::nextafter(0.25, 1.0),
+      std::nextafter(0.25, 0.0), 0.2, 0.1};
+  std::vector<double> fractions;
+  switch (family) {
+    case 0:  // continuous, mostly distinct sizes
+      for (std::uint64_t i = rng.uniform_int(1, 150); i > 0; --i) {
+        fractions.push_back(rng.uniform(0.02, 0.98));
+      }
+      break;
+    case 1:  // duplicate-heavy: a few grid sizes, long runs
+      for (std::uint64_t d = rng.uniform_int(1, 4); d > 0; --d) {
+        const double size = 0.05 * static_cast<double>(rng.uniform_int(1, 19));
+        fractions.insert(fractions.end(), rng.uniform_int(1, 200), size);
+      }
+      break;
+    case 2:  // decimal and dyadic sizes whose sums hit a bin exactly
+      for (std::uint64_t i = rng.uniform_int(1, 120); i > 0; --i) {
+        fractions.push_back(rng.bernoulli(0.5)
+                                ? 0.1 * static_cast<double>(rng.uniform_int(1, 9))
+                                : 0.125 * static_cast<double>(rng.uniform_int(1, 4)));
+      }
+      break;
+    case 3:  // large items beside medium ones: L2's thresholds beat volume
+      for (std::uint64_t d = rng.uniform_int(2, 5); d > 0; --d) {
+        const double size = rng.bernoulli(0.5)
+                                ? 0.05 * static_cast<double>(rng.uniform_int(11, 16))
+                                : 0.05 * static_cast<double>(rng.uniform_int(4, 9));
+        fractions.insert(fractions.end(), rng.uniform_int(1, 15), size);
+      }
+      break;
+    case 4:  // one ulp either side of 1/k of a bin
+      for (std::uint64_t i = rng.uniform_int(1, 60); i > 0; --i) {
+        fractions.push_back(edges[rng.uniform_int(0, edges.size() - 1)]);
+      }
+      break;
+    case 5: {  // one long run over many fresh bins, ending in a partial one
+      const std::vector<double> fill{std::nextafter(0.5, 1.0), std::nextafter(third, 1.0),
+                                     std::nextafter(third, 0.0), 0.1};
+      // Half the draws open bins with 0.4 to spare first, so the run tops
+      // them up (0.1 and 1/3 do; 0.5 + 1 ulp does not) before it spills.
+      if (rng.bernoulli(0.5)) fractions.insert(fractions.end(), rng.uniform_int(1, 10), 0.6);
+      fractions.insert(fractions.end(), rng.uniform_int(20, 200),
+                       fill[rng.uniform_int(0, fill.size() - 1)]);
+      break;
+    }
+    default: {  // FFD and BFD disagree; 1/64 units keep sums exact at any W
+      // Unshifted, FFD packs the first template into 2 bins where BFD needs
+      // 3, and BFD packs the second into 2 where FFD needs 3. Small shifts
+      // keep many draws on the same side.
+      const auto i = static_cast<double>(rng.uniform_int(0, 2));
+      const double j = static_cast<double>(rng.uniform_int(0, 2)) - 1.0;
+      const std::vector<double> units =
+          rng.bernoulli(0.5) ? std::vector<double>{45 + i, 26 + j, 22 - j, 13 - i, 10, 6, 6}
+                             : std::vector<double>{43 + i, 24 + j, 22 - j, 14 - i, 13, 8};
+      for (double unit : units) fractions.push_back(unit / 64.0);
+      break;
+    }
+  }
+  return fractions;
+}
+
+const std::vector<CostModel>& differential_models() {
+  static const std::vector<CostModel> models{
+      CostModel{1.0, 1.0, 0.0}, CostModel{1.0, 1.0, 1e-9}, CostModel{10.0, 1.0, 1e-9}};
+  return models;
+}
+
+/// `fractions` scaled to `model`'s capacity, sorted non-increasing.
+std::vector<double> sorted_sizes(const std::vector<double>& fractions,
+                                 const CostModel& model) {
+  std::vector<double> sizes;
+  for (double f : fractions) sizes.push_back(f * model.bin_capacity);
+  std::sort(sizes.begin(), sizes.end(), std::greater<>());
+  return sizes;
+}
+
 TEST(BinCountRleTest, KernelsMatchPerItemReference) {
   // optimal_bin_count is itself an adapter over the RLE core, so the
   // kernels' real oracle is the textbook per-item loops: every multiset
@@ -168,59 +252,12 @@ TEST(BinCountRleTest, KernelsMatchPerItemReference) {
   // nonzero tolerance and two capacities. One scratch is reused across all
   // draws, as the OPT_total workers and the engine oracle reuse theirs.
   Rng rng(23);
-  const double third = 1.0 / 3.0;
-  const std::vector<double> edges{
-      1.0,  std::nextafter(1.0, 0.0), 0.5,  std::nextafter(0.5, 1.0),
-      std::nextafter(0.5, 0.0), third, std::nextafter(third, 1.0),
-      std::nextafter(third, 0.0), 0.25, std::nextafter(0.25, 1.0),
-      std::nextafter(0.25, 0.0), 0.2, 0.1};
-  const auto draw = [&](int family) {
-    std::vector<double> fractions;
-    switch (family) {
-      case 0:  // continuous, mostly distinct sizes
-        for (std::uint64_t i = rng.uniform_int(1, 150); i > 0; --i) {
-          fractions.push_back(rng.uniform(0.02, 0.98));
-        }
-        break;
-      case 1:  // duplicate-heavy: a few grid sizes, long runs
-        for (std::uint64_t d = rng.uniform_int(1, 4); d > 0; --d) {
-          const double size = 0.05 * static_cast<double>(rng.uniform_int(1, 19));
-          fractions.insert(fractions.end(), rng.uniform_int(1, 200), size);
-        }
-        break;
-      case 2:  // decimal and dyadic sizes whose sums hit a bin exactly
-        for (std::uint64_t i = rng.uniform_int(1, 120); i > 0; --i) {
-          fractions.push_back(rng.bernoulli(0.5)
-                                  ? 0.1 * static_cast<double>(rng.uniform_int(1, 9))
-                                  : 0.125 * static_cast<double>(rng.uniform_int(1, 4)));
-        }
-        break;
-      case 3:  // large items beside medium ones: L2's thresholds beat volume
-        for (std::uint64_t d = rng.uniform_int(2, 5); d > 0; --d) {
-          const double size = rng.bernoulli(0.5)
-                                  ? 0.05 * static_cast<double>(rng.uniform_int(11, 16))
-                                  : 0.05 * static_cast<double>(rng.uniform_int(4, 9));
-          fractions.insert(fractions.end(), rng.uniform_int(1, 15), size);
-        }
-        break;
-      default:  // one ulp either side of 1/k of a bin
-        for (std::uint64_t i = rng.uniform_int(1, 60); i > 0; --i) {
-          fractions.push_back(edges[rng.uniform_int(0, edges.size() - 1)]);
-        }
-        break;
-    }
-    return fractions;
-  };
-
   BinCountScratch scratch;
   std::size_t l2_above_l1 = 0;
-  for (int round = 0; round < 250; ++round) {
-    const std::vector<double> fractions = draw(round % 5);
-    for (const CostModel& model :
-         {CostModel{1.0, 1.0, 0.0}, CostModel{1.0, 1.0, 1e-9}, CostModel{10.0, 1.0, 1e-9}}) {
-      std::vector<double> sizes;
-      for (double f : fractions) sizes.push_back(f * model.bin_capacity);
-      std::sort(sizes.begin(), sizes.end(), std::greater<>());
+  for (int round = 0; round < 350; ++round) {
+    const std::vector<double> fractions = draw_fractions(rng, round % 7);
+    for (const CostModel& model : differential_models()) {
+      const std::vector<double> sizes = sorted_sizes(fractions, model);
       const std::vector<SizeRun> runs = rle_from_sorted(sizes);
       scratch.arena.reset();
       EXPECT_EQ(first_fit_decreasing_rle(runs, model, scratch.ffd_tree),
@@ -240,6 +277,49 @@ TEST(BinCountRleTest, KernelsMatchPerItemReference) {
   }
   // The draws must exercise L2's thresholds, not just its volume floor.
   EXPECT_GT(l2_above_l1, 50u);
+}
+
+TEST(BinCountRleTest, EarlyExitMatchesFullChain) {
+  // Without the exact solver the oracle's general path must return
+  // {L2, min(FFD, BFD)}, even though it skips BFD whenever FFD meets L2.
+  // The expectation comes from the per-item references, so the skipped BFD
+  // stays checked, and both sides of the exit must occur in the draws.
+  BinCountOptions options;
+  options.use_exact_solver = false;
+  Rng rng(29);
+  BinCountScratch scratch;
+  std::size_t ffd_meets_l2_below_bfd = 0;
+  std::size_t bfd_below_ffd = 0;
+  std::size_t general = 0;
+  for (int round = 0; round < 700; ++round) {
+    const std::vector<double> fractions = draw_fractions(rng, round % 7);
+    for (const CostModel& model : differential_models()) {
+      const std::vector<double> sizes = sorted_sizes(fractions, model);
+      // Skip the fast paths (one bin; all sizes equal within the relative
+      // tolerance), whose results other tests pin; the margin absorbs
+      // summation order.
+      double total = 0.0;
+      for (double size : sizes) total += size;
+      if (total <= model.bin_capacity * (1.0 + 1e-6) ||
+          sizes.front() - sizes.back() <=
+              options.equal_size_rel_tolerance * sizes.front()) {
+        continue;
+      }
+      ++general;
+      const std::size_t l2 = reference::l2_lower_bound(sizes, model);
+      const std::size_t ffd = reference::first_fit_decreasing(sizes, model);
+      const std::size_t bfd = reference::best_fit_decreasing(sizes, model);
+      const BinCountBounds bounds =
+          optimal_bin_count_rle(rle_from_sorted(sizes), model, options, scratch);
+      EXPECT_EQ(bounds.lower, l2) << "round " << round;
+      EXPECT_EQ(bounds.upper, std::min(ffd, bfd)) << "round " << round;
+      if (ffd == l2 && l2 < bfd) ++ffd_meets_l2_below_bfd;
+      if (bfd < ffd) ++bfd_below_ffd;
+    }
+  }
+  EXPECT_GT(general, 1500u);
+  EXPECT_GT(ffd_meets_l2_below_bfd, 10u);
+  EXPECT_GT(bfd_below_ffd, 10u);
 }
 
 TEST(BinCountRleTest, RejectsMalformedRuns) {

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <span>
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "core/binary_io.hpp"
 #include "core/error.hpp"
+#include "opt/rle.hpp"
+#include "workload/rng.hpp"
 
 namespace dbp {
 namespace {
@@ -202,16 +207,89 @@ TEST(GameServerDispatcherTest, ClosedRentalTruncatesAtProbeTime) {
   EXPECT_DOUBLE_EQ(dispatcher.rental_cost_dollars(100.0), 5.0);
 }
 
-TEST(GameServerDispatcherTest, ActiveSizesDescIsSortedAndComplete) {
-  GameServerDispatcher dispatcher(basic_spec(), "first-fit");
-  dispatcher.start_session(1, 0.25, 0.0);
-  dispatcher.start_session(2, 0.5, 1.0);
-  dispatcher.start_session(3, 0.25, 2.0);
-  std::vector<double> sizes(dispatcher.active_sessions());
-  dispatcher.active_sizes_desc(sizes);
-  EXPECT_EQ(sizes, (std::vector<double>{0.5, 0.25, 0.25}));
-  EXPECT_THROW(dispatcher.active_sizes_desc(std::span<double>{}),
-               PreconditionError);
+/// rle_from_sorted over the packer's residents, with sizes from the map of
+/// every session the test started — independent of the dispatcher's own
+/// session table, which active_size_runs reads.
+std::vector<SizeRun> resident_runs(const GameServerDispatcher& dispatcher,
+                                   const std::map<std::uint64_t, double>& started) {
+  std::vector<double> sizes;
+  for (const BinId bin : dispatcher.bins().open_bins()) {
+    for (const ItemId item : dispatcher.bins().items_in(bin)) {
+      sizes.push_back(started.at(item));
+    }
+  }
+  std::sort(sizes.begin(), sizes.end(), std::greater<>());
+  return rle_from_sorted(sizes);
+}
+
+TEST(GameServerDispatcherTest, ActiveSizeRunsEqualRleOfSortedActiveSizes) {
+  // Random start/end/crash streams under a flaky rental provider and a
+  // fleet cap, so sessions also leave through crash re-dispatch, loss on
+  // crash and shedding. After every event the counted runs must equal the
+  // sorted-then-compressed reference; one output vector is reused
+  // throughout, so stale runs from a larger snapshot must not survive.
+  FaultPolicy policy;
+  policy.on_anomaly = FaultPolicy::AnomalyAction::kDropAndCount;
+  policy.rental_failure_rate = 0.2;
+  policy.max_rental_retries = 0;
+  policy.max_fleet_servers = 6;
+  DispatcherFaultStats totals;
+  std::size_t round_trips = 0;
+  std::vector<SizeRun> runs;
+  for (const bool dyadic : {true, false}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      policy.seed = seed;
+      Rng rng(seed);
+      GameServerDispatcher dispatcher(basic_spec(), "first-fit", {}, policy);
+      std::map<std::uint64_t, double> started;
+      Time now = 0.0;
+      for (std::uint64_t event = 0; event < 400; ++event) {
+        now += 1.0;
+        const double roll = rng.uniform(0.0, 1.0);
+        if (roll < 0.55 || started.empty()) {
+          const double size = dyadic
+                                  ? 0.125 * static_cast<double>(rng.uniform_int(1, 4))
+                                  : rng.uniform(0.02, 0.6);
+          const std::uint64_t id = started.size() + 1;
+          started.emplace(id, size);
+          (void)dispatcher.start_session(id, size, now);
+        } else if (roll < 0.95) {
+          // May name an ended or lost session: dropped and counted.
+          dispatcher.end_session(rng.uniform_int(1, started.size()), now);
+        } else {
+          const std::vector<BinId> open = dispatcher.bins().open_bins();
+          if (!open.empty()) {
+            (void)dispatcher.fail_server(open[rng.uniform_int(0, open.size() - 1)], now);
+          }
+        }
+        dispatcher.active_size_runs(runs);
+        ASSERT_EQ(runs, resident_runs(dispatcher, started))
+            << (dyadic ? "dyadic" : "continuous") << " seed " << seed << " event "
+            << event;
+        if (event == 200) {
+          ByteWriter out;
+          dispatcher.save_state(out);
+          const std::vector<std::uint8_t> bytes = out.take();
+          GameServerDispatcher restored(basic_spec(), "first-fit", {}, policy);
+          ByteReader in(bytes);
+          restored.restore_state(in);
+          std::vector<SizeRun> restored_runs;
+          restored.active_size_runs(restored_runs);
+          EXPECT_EQ(restored_runs, runs);
+          ++round_trips;
+        }
+      }
+      const DispatcherFaultStats& stats = dispatcher.fault_stats();
+      totals.sessions_shed += stats.sessions_shed;
+      totals.sessions_redispatched += stats.sessions_redispatched;
+      totals.sessions_lost_on_crash += stats.sessions_lost_on_crash;
+    }
+  }
+  EXPECT_EQ(round_trips, 8u);
+  // Every way a session can leave besides end_session was exercised.
+  EXPECT_GT(totals.sessions_shed, 0u);
+  EXPECT_GT(totals.sessions_redispatched, 0u);
+  EXPECT_GT(totals.sessions_lost_on_crash, 0u);
 }
 
 TEST(DispatchComparisonTest, BestFitOverspendsOnAdversarialPattern) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <random>
 #include <vector>
@@ -95,10 +96,23 @@ TEST(MaxSegmentTreeTest, RandomizedAgainstBruteForce) {
   MaxSegmentTree tree;
   std::vector<double> shadow;
   for (int step = 0; step < 3000; ++step) {
-    const int op = static_cast<int>(rng() % 4);
+    if (step % 700 == 699) {
+      // clear() keeps the capacity: later appends land in a larger tree.
+      tree.clear();
+      shadow.clear();
+    }
+    const int op = static_cast<int>(rng() % 5);
     if (op == 0 || shadow.empty()) {
       tree.push_back(value_dist(rng));
       shadow.push_back(tree.value_at(tree.size() - 1));
+    } else if (op == 4) {
+      // Bulk append, zero copies included, often across a capacity doubling.
+      const double v = value_dist(rng);
+      const std::size_t count = rng() % 41;
+      tree.append(v, count);
+      shadow.insert(shadow.end(), count, v);
+      ASSERT_EQ(tree.size(), shadow.size());
+      EXPECT_EQ(tree.max_value(), *std::max_element(shadow.begin(), shadow.end()));
     } else if (op == 1) {
       const std::size_t pos = rng() % shadow.size();
       const double v = value_dist(rng);
