@@ -6,12 +6,17 @@
 //   $ ./constrained_regions
 //
 // Players are latency-bound to their nearest region, so each region runs an
-// isolated fleet. The example quantifies the fragmentation cost of the
-// constraint: per-region fleets vs one hypothetical global fleet.
+// isolated fleet: one shard of a ShardedDispatchEngine per region, with a
+// RegionShardRouter pinning every session to its region's shard. The
+// example quantifies the fragmentation cost of the constraint: per-region
+// fleets vs one hypothetical global fleet.
 #include <iostream>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/strfmt.hpp"
+#include "engine/engine.hpp"
 #include "gaming/dispatcher.hpp"
 #include "sim/event.hpp"
 #include "workload/cloud_gaming.hpp"
@@ -33,16 +38,21 @@ int main() {
       {"ap-south", 6.0, 0.7, 303},
   };
 
-  RegionalDispatcher constrained(spec, "modified-first-fit");
+  // One shard per region. The router's list is sorted, so the engine's
+  // shard-order bill sums the regions alphabetically.
+  auto router = std::make_unique<engine::RegionShardRouter>(
+      std::vector<std::string>{"ap-south", "eu-west", "us-east"});
+  const engine::RegionShardRouter& regions_router = *router;
+  engine::EngineConfig engine_config;
+  engine_config.shard_count = regions_router.regions().size();
+  engine_config.algorithm = "modified-first-fit";
+  engine_config.spec = spec;
+  engine::ShardedDispatchEngine constrained(engine_config, std::move(router));
   GameServerDispatcher global(spec, "modified-first-fit");
 
   // Merge all regions' traces into one event stream.
-  struct Tagged {
-    const char* region;
-    Item item;
-  };
   Instance merged;
-  std::vector<const char*> region_of;
+  std::vector<std::uint64_t> route_key_of;
   for (const Region& region : regions) {
     CloudGamingConfig config;
     config.horizon_hours = 24.0;
@@ -51,7 +61,7 @@ int main() {
     const CloudGamingTrace trace = generate_cloud_gaming_trace(config, region.seed);
     for (const Item& item : trace.instance.items()) {
       merged.add(item.arrival, item.departure, item.size);
-      region_of.push_back(region.name);
+      route_key_of.push_back(regions_router.route_key_for(region.name));
     }
     std::cout << strfmt("%-9s %5zu sessions (peak hour %.0f)\n", region.name,
                         trace.instance.size(), region.peak_hour);
@@ -59,14 +69,24 @@ int main() {
 
   for (const Event& event : build_event_sequence(merged)) {
     const Item& item = merged.item(event.item);
-    const char* region = region_of[static_cast<std::size_t>(item.id)];
-    if (event.kind == EventKind::kArrival) {
-      constrained.start_session(region, item.id, item.size, item.arrival);
+    const bool arrival = event.kind == EventKind::kArrival;
+    engine::SessionEvent session =
+        arrival ? engine::start_event(item.id, item.size, item.arrival)
+                : engine::end_event(item.id, item.departure);
+    session.route_key = route_key_of[static_cast<std::size_t>(item.id)];
+    constrained.submit(session);
+    if (arrival) {
       global.start_session(item.id, item.size, item.arrival);
     } else {
-      constrained.end_session(item.id, item.departure);
       global.end_session(item.id, item.departure);
     }
+  }
+  constrained.drain();
+  // Engine shards drop and count anomalous events instead of throwing; a
+  // well-formed stream must come through with nothing dropped.
+  if (!(constrained.merged_fault_stats() == DispatcherFaultStats{})) {
+    std::cerr << "constrained_regions: the engine dropped events\n";
+    return 1;
   }
 
   const Time end = merged.packing_period().end;

@@ -37,7 +37,7 @@ std::vector<std::uint8_t> encode_record(const JournalEvent& event) {
 
 bool valid_kind(std::uint8_t kind) {
   return kind >= static_cast<std::uint8_t>(JournalEventKind::kStartSession) &&
-         kind <= static_cast<std::uint8_t>(JournalEventKind::kDeparture);
+         kind <= static_cast<std::uint8_t>(JournalEventKind::kFailServer);
 }
 
 }  // namespace
@@ -123,7 +123,15 @@ JournalScan scan_journal_bytes(std::span<const std::uint8_t> bytes) {
     event.time = reader.f64();
     event.subject = reader.u64();
     event.size = reader.f64();
-    if (!reader.done() || !valid_kind(kind)) break;
+    if (!reader.done()) break;
+    // Likewise a CRC-valid record of an unknown kind (the retired
+    // simulation-mode kinds 4/5 included) is foreign content, not a torn
+    // write: refuse it rather than truncate it away as a tail.
+    if (!valid_kind(kind)) {
+      throw CorruptionError("unknown journal event kind " +
+                            std::to_string(kind) + " at seq " +
+                            std::to_string(event.seq));
+    }
     event.kind = static_cast<JournalEventKind>(kind);
     // A CRC-valid record with a seq break is not a crash artifact — crashes
     // cannot reorder flushed records. Refuse the whole file.

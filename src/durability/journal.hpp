@@ -28,15 +28,12 @@ inline constexpr std::size_t kJournalHeaderBytes = 20;
 /// length field beyond it is torn garbage, not a record.
 inline constexpr std::uint32_t kMaxRecordPayloadBytes = 1 << 20;
 
-/// What happened, to whom. One vocabulary for both durable modes: the
-/// dispatcher journals session starts/ends and server failures; the
-/// simulation journals item arrivals/departures.
+/// What happened, to whom: the durable dispatcher's session starts/ends
+/// and server failures. Any other kind byte is refused (scan_journal_bytes).
 enum class JournalEventKind : std::uint8_t {
   kStartSession = 1,  ///< subject = session id, size = GPU fraction
   kEndSession = 2,    ///< subject = session id
   kFailServer = 3,    ///< subject = server id
-  kArrival = 4,       ///< subject = item id, size = item size
-  kDeparture = 5,     ///< subject = item id
 };
 
 struct JournalEvent {
@@ -94,7 +91,8 @@ struct JournalScan {
 /// Decodes the longest valid prefix of `bytes`. Throws CorruptionError when
 /// the *header* is missing, version-skewed or CRC-corrupt (there is no safe
 /// prefix to accept), and when a CRC-valid record breaks the dense seq
-/// order (valid framing with impossible content is not a crash artifact).
+/// order or names an unknown event kind (valid framing with impossible
+/// content is not a crash artifact).
 /// Record-level damage is not an error: the scan stops there and reports
 /// torn_tail.
 [[nodiscard]] JournalScan scan_journal_bytes(

@@ -1,8 +1,6 @@
 #include "durability/recovery.hpp"
 
-#include <algorithm>
 #include <filesystem>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -10,17 +8,14 @@
 #include "core/error.hpp"
 #include "durability/checkpoint.hpp"
 #include "obs/obs.hpp"
-#include "opt/rle.hpp"
 
 namespace dbp::durability {
 
 namespace {
 
-/// Checkpoint payload mode byte (first byte of every payload).
-constexpr std::uint8_t kModeDispatcher =
-    static_cast<std::uint8_t>(DurableMode::kDispatcher);
-constexpr std::uint8_t kModeSimulation =
-    static_cast<std::uint8_t>(DurableMode::kSimulation);
+/// Checkpoint payload mode byte (first byte of every payload). Only the
+/// dispatcher mode exists; any other byte is refused as corruption.
+constexpr std::uint8_t kModeDispatcher = 1;
 
 std::string journal_path(const DurabilityConfig& config) {
   return config.dir + "/" + kJournalFileName;
@@ -241,121 +236,9 @@ void DurableDispatcher::apply_replayed(const JournalEvent& event) {
       case JournalEventKind::kFailServer:
         (void)dispatcher_.fail_server(event.subject, event.time);
         break;
-      case JournalEventKind::kArrival:
-      case JournalEventKind::kDeparture:
-        throw CorruptionError(
-            "simulation event in a dispatcher journal (seq " +
-            std::to_string(event.seq) + ")");
     }
   } catch (const DispatchError&) {
     // Replayed rejection; the counters advanced exactly as they did live.
-  }
-}
-
-// ---------------------------------------------------------------------------
-// DurableRun
-
-DurableRun::DurableRun(const DurabilityConfig& config, const CostModel& model,
-                       const std::string& algorithm,
-                       const PackerOptions& options)
-    : core_(config),
-      model_(model),
-      algorithm_(algorithm),
-      options_(options),
-      packer_(make_packer(algorithm, model, options)) {
-  DBP_REQUIRE(packer_->snapshot_supported(),
-              "algorithm cannot run durably (no snapshot support): " +
-                  algorithm);
-  core_.commit_checkpoint(checkpoint_payload());
-  core_.open_fresh_journal();
-}
-
-DurableRun::DurableRun(RecoveredTag, DurabilityConfig config, CostModel model,
-                       std::string algorithm, PackerOptions options)
-    : core_(std::move(config)),
-      model_(model),
-      algorithm_(std::move(algorithm)),
-      options_(options),
-      packer_(make_packer(algorithm_, model_, options_)) {}
-
-std::vector<std::uint8_t> DurableRun::checkpoint_payload() const {
-  ByteWriter out;
-  out.u8(kModeSimulation);
-  out.f64(model_.bin_capacity);
-  out.f64(model_.cost_rate);
-  out.f64(model_.fit_tolerance);
-  out.str(algorithm_);
-  write_packer_options(out, options_);
-  packer_->save_snapshot(out);
-  // Active item table plus an RLE size-multiset cross-check: two
-  // independently decoded views of the live load that must agree on restore.
-  out.u64(active_.size());
-  for (const auto& [id, size] : active_) {
-    out.u64(id);
-    out.f64(size);
-  }
-  std::vector<double> sizes;
-  sizes.reserve(active_.size());
-  for (const auto& [id, size] : active_) sizes.push_back(size);
-  std::sort(sizes.begin(), sizes.end(), std::greater<>());
-  const std::vector<SizeRun> runs = rle_from_sorted(sizes);
-  out.u64(runs.size());
-  for (const SizeRun& run : runs) {
-    out.f64(run.size);
-    out.u64(run.count);
-  }
-  return out.take();
-}
-
-BinId DurableRun::apply_arrival(const ArrivingItem& item) {
-  core_.journal_event(JournalEventKind::kArrival, item.arrival, item.id,
-                      item.size);
-  const BinId bin = packer_->on_arrival(item);
-  active_[item.id] = item.size;
-  maybe_checkpoint();
-  return bin;
-}
-
-void DurableRun::apply_departure(ItemId item, Time now) {
-  core_.journal_event(JournalEventKind::kDeparture, now, item, 0.0);
-  packer_->on_departure(item, now);
-  active_.erase(item);
-  maybe_checkpoint();
-}
-
-void DurableRun::checkpoint_now() {
-  core_.commit_checkpoint(checkpoint_payload());
-}
-
-void DurableRun::flush() {
-  core_.journal->flush();
-  core_.unflushed = 0;
-}
-
-void DurableRun::maybe_checkpoint() {
-  if (core_.checkpoint_due()) checkpoint_now();
-}
-
-void DurableRun::apply_replayed(const JournalEvent& event) {
-  switch (event.kind) {
-    case JournalEventKind::kArrival: {
-      ArrivingItem item;
-      item.id = event.subject;
-      item.arrival = event.time;
-      item.size = event.size;
-      (void)packer_->on_arrival(item);
-      active_[item.id] = item.size;
-      break;
-    }
-    case JournalEventKind::kDeparture:
-      packer_->on_departure(event.subject, event.time);
-      active_.erase(event.subject);
-      break;
-    case JournalEventKind::kStartSession:
-    case JournalEventKind::kEndSession:
-    case JournalEventKind::kFailServer:
-      throw CorruptionError("dispatcher event in a simulation journal (seq " +
-                            std::to_string(event.seq) + ")");
   }
 }
 
@@ -429,92 +312,35 @@ RecoveredState RecoveryManager::recover() {
                           "; nothing safe to recover to");
   }
 
-  // Reconstruct the durable object from the payload's own parameters.
+  // Reconstruct the dispatcher from the payload's own parameters.
   RecoveredState state;
   ByteReader in(checkpoint.payload);
   const std::uint8_t mode = in.u8();
-  if (mode == kModeDispatcher) {
-    ServerSpec spec;
-    spec.gpu_capacity = in.f64();
-    spec.price_per_hour = in.f64();
-    std::string algorithm = in.str();
-    const PackerOptions options = read_packer_options(in);
-    const FaultPolicy policy = read_fault_policy(in);
-    state.mode = DurableMode::kDispatcher;
-    state.dispatcher.reset(new DurableDispatcher(
-        DurableDispatcher::RecoveredTag{}, config_, spec, std::move(algorithm),
-        options, policy));
-    state.dispatcher->dispatcher_.restore_state(in);
-    in.expect_done();
-  } else if (mode == kModeSimulation) {
-    CostModel model;
-    model.bin_capacity = in.f64();
-    model.cost_rate = in.f64();
-    model.fit_tolerance = in.f64();
-    std::string algorithm = in.str();
-    const PackerOptions options = read_packer_options(in);
-    state.mode = DurableMode::kSimulation;
-    state.run.reset(new DurableRun(DurableRun::RecoveredTag{}, config_, model,
-                                   std::move(algorithm), options));
-    state.run->packer_->restore_snapshot(in);
-    // Active item table, cross-checked against the restored packer and the
-    // independently persisted RLE multiset before anything is trusted.
-    const std::uint64_t active_count = in.u64();
-    std::map<ItemId, double>& active = state.run->active_;
-    for (std::uint64_t i = 0; i < active_count; ++i) {
-      const ItemId id = in.u64();
-      const double size = in.f64();
-      if (!active.emplace(id, size).second) {
-        throw CorruptionError("duplicate active item in checkpoint");
-      }
-    }
-    const BinManager& bins = state.run->packer_->bins();
-    if (active.size() != bins.active_item_count()) {
-      throw CorruptionError("active item table disagrees with packer census");
-    }
-    for (BinId bin : bins.open_bins()) {
-      for (ItemId id : bins.items_in(bin)) {
-        if (active.find(id) == active.end()) {
-          throw CorruptionError("packer resident missing from the checkpoint's "
-                                "active item table");
-        }
-      }
-    }
-    std::vector<double> sizes;
-    sizes.reserve(active.size());
-    for (const auto& [id, size] : active) sizes.push_back(size);
-    std::sort(sizes.begin(), sizes.end(), std::greater<>());
-    const std::vector<SizeRun> recomputed = rle_from_sorted(sizes);
-    rle_validate(recomputed, model);
-    const std::uint64_t run_count = in.u64();
-    if (run_count != recomputed.size()) {
-      throw CorruptionError("RLE cross-check run count mismatch");
-    }
-    for (const SizeRun& run : recomputed) {
-      if (in.f64() != run.size || in.u64() != run.count) {
-        throw CorruptionError("RLE cross-check multiset mismatch");
-      }
-    }
-    in.expect_done();
-  } else {
+  if (mode != kModeDispatcher) {
     throw CorruptionError("unknown checkpoint payload mode " +
                           std::to_string(mode));
   }
+  ServerSpec spec;
+  spec.gpu_capacity = in.f64();
+  spec.price_per_hour = in.f64();
+  std::string algorithm = in.str();
+  const PackerOptions options = read_packer_options(in);
+  const FaultPolicy policy = read_fault_policy(in);
+  state.dispatcher.reset(new DurableDispatcher(
+      DurableDispatcher::RecoveredTag{}, config_, spec, std::move(algorithm),
+      options, policy));
+  state.dispatcher->dispatcher_.restore_state(in);
+  in.expect_done();
 
   // Deterministic suffix replay: the events the checkpoint has not seen.
   std::uint64_t replayed = 0;
   for (const JournalEvent& event : scan.events) {
     if (event.seq < checkpoint.next_seq) continue;
-    if (state.dispatcher) {
-      state.dispatcher->apply_replayed(event);
-    } else {
-      state.run->apply_replayed(event);
-    }
+    state.dispatcher->apply_replayed(event);
     ++replayed;
   }
 
-  detail::StreamCore& core =
-      state.dispatcher ? state.dispatcher->core_ : state.run->core_;
+  detail::StreamCore& core = state.dispatcher->core_;
   if (journal_exists) {
     core.open_resumed_journal(scan.valid_bytes);
   } else {

@@ -1,17 +1,17 @@
-// Durable wrappers and crash recovery (docs/durability.md Sections 4-5).
+// The durable wrapper and crash recovery (docs/durability.md Sections 4-5).
 //
-// DurableDispatcher / DurableRun implement write-ahead logging over the
-// cloud-gaming dispatcher and the plain packing simulation: every input
-// event is journaled and flushed *before* it is applied, and a full state
-// checkpoint is written atomically every `checkpoint_every` events. The
-// RecoveryManager inverts that: load the newest checkpoint that validates
-// (falling back across corrupt ones), truncate the journal's torn tail,
-// replay the journal suffix, and hand back a wrapper that continues the
-// interrupted stream — bit-identically to a run that never crashed.
+// DurableDispatcher implements write-ahead logging over the cloud-gaming
+// dispatcher: every input event is journaled and flushed *before* it is
+// applied, and a full state checkpoint is written atomically every
+// `checkpoint_every` events. The RecoveryManager inverts that: load the
+// newest checkpoint that validates (falling back across corrupt ones),
+// truncate the journal's torn tail, replay the journal suffix, and hand
+// back a dispatcher that continues the interrupted stream — bit-identically
+// to a run that never crashed. A plain packing simulation runs durably by
+// feeding its items as sessions (docs/durability.md Section 4).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -51,7 +51,8 @@ struct RecoveryReport {
 
 namespace detail {
 
-/// Journal + checkpoint bookkeeping shared by both durable wrappers.
+/// Journal + checkpoint bookkeeping behind the durable wrapper: the WAL and
+/// checkpoint protocol, independent of what state the payload carries.
 struct StreamCore {
   DurabilityConfig config;
   std::unique_ptr<JournalWriter> journal;
@@ -127,62 +128,10 @@ class DurableDispatcher {
   GameServerDispatcher dispatcher_;
 };
 
-/// Crash-durable packing run: the simulation-mode twin of DurableDispatcher.
-/// Feed it the instance's event sequence (arrivals and departures in time
-/// order); after the last departure the underlying packer's bin state yields
-/// the same SimulationResult an uninterrupted simulate() would produce.
-class DurableRun {
- public:
-  DurableRun(const DurabilityConfig& config, const CostModel& model,
-             const std::string& algorithm, const PackerOptions& options);
-
-  BinId apply_arrival(const ArrivingItem& item);
-  void apply_departure(ItemId item, Time now);
-
-  void checkpoint_now();
-  void flush();
-
-  [[nodiscard]] const Packer& packer() const noexcept { return *packer_; }
-  [[nodiscard]] std::uint64_t next_seq() const noexcept {
-    return core_.next_seq;
-  }
-  [[nodiscard]] const JournalWriter& journal() const noexcept {
-    return *core_.journal;
-  }
-
- private:
-  friend class RecoveryManager;
-  struct RecoveredTag {};
-  DurableRun(RecoveredTag, DurabilityConfig config, CostModel model,
-             std::string algorithm, PackerOptions options);
-
-  [[nodiscard]] std::vector<std::uint8_t> checkpoint_payload() const;
-  void maybe_checkpoint();
-  void apply_replayed(const JournalEvent& event);
-
-  detail::StreamCore core_;
-  CostModel model_;
-  std::string algorithm_;
-  PackerOptions options_;
-  std::unique_ptr<Packer> packer_;
-  /// Active item sizes, for the checkpoint's RLE cross-check. Ordered map:
-  /// iterated when building checkpoint payloads.
-  std::map<ItemId, double> active_;
-};
-
-/// Which durable wrapper a directory's newest valid checkpoint belongs to.
-enum class DurableMode : std::uint8_t {
-  kDispatcher = 1,
-  kSimulation = 2,
-};
-
 /// Loads the newest valid checkpoint, repairs the journal, replays the
-/// suffix and returns a wrapper ready to continue the stream. Exactly one
-/// of `dispatcher` / `run` is non-null (matching `mode`).
+/// suffix and returns a dispatcher ready to continue the stream.
 struct RecoveredState {
-  DurableMode mode = DurableMode::kDispatcher;
   std::unique_ptr<DurableDispatcher> dispatcher;
-  std::unique_ptr<DurableRun> run;
   RecoveryReport report;
 };
 

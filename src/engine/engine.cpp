@@ -1,10 +1,10 @@
 #include "engine/engine.hpp"
 
-#include <algorithm>
-#include <exception>
+#include <numeric>
 #include <thread>
 
 #include "core/error.hpp"
+#include "exec/parallel_map.hpp"
 #include "exec/worker_budget.hpp"
 #include "obs/obs.hpp"
 
@@ -90,7 +90,8 @@ void ShardedDispatchEngine::drain() {
   pump_locked();
 }
 
-void ShardedDispatchEngine::drain_shard(Shard& shard) {
+std::uint64_t ShardedDispatchEngine::drain_shard(Shard& shard) {
+  const std::uint64_t before = shard.applied;
   SessionEvent event;
   while (shard.ring.try_pop(event)) {
     switch (event.kind) {
@@ -105,13 +106,11 @@ void ShardedDispatchEngine::drain_shard(Shard& shard) {
     }
     ++shard.applied;
   }
+  return shard.applied - before;
 }
 
 void ShardedDispatchEngine::pump_locked() {
-  const int effective = exec::WorkerBudget::effective();
-  const std::size_t workers = std::min(
-      shards_.size(), static_cast<std::size_t>(std::max(1, effective)));
-  if (workers <= 1) {
+  if (exec::WorkerBudget::effective() <= 1 || shards_.size() <= 1) {
     // Inline: the caller thread applies every shard's FIFO in shard order.
     // Observability is suppressed exactly as on worker threads, so the
     // exported trace is byte-identical across budgets.
@@ -120,29 +119,19 @@ void ShardedDispatchEngine::pump_locked() {
     for (const std::unique_ptr<Shard>& shard : shards_) drain_shard(*shard);
     return;
   }
-  // Fork-join over contiguous shard blocks. Each worker owns its shards
-  // exclusively for this pump, so per-shard application stays FIFO and the
-  // partition never affects results — only which thread runs them.
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t begin = w * shards_.size() / workers;
-    const std::size_t end = (w + 1) * shards_.size() / workers;
-    threads.emplace_back([this, begin, end, &first_error, &error_mutex] {
-      const exec::WorkerLease lease;
-      const obs::ObsScope quiet(nullptr, nullptr);
-      try {
-        for (std::size_t s = begin; s < end; ++s) drain_shard(*shards_[s]);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  if (first_error) std::rethrow_exception(first_error);
+  // One job per shard: a job owns its shard exclusively for this pump, so
+  // per-shard application stays FIFO and the schedule never affects
+  // results — only which thread runs them. The caller thread runs jobs too
+  // (OpenMP's master), hence the quiet scope inside the job. Each job
+  // returns its drained count only because parallel_map maps to values;
+  // Shard::applied is already counted per event.
+  std::vector<std::size_t> shard_ids(shards_.size());
+  std::iota(shard_ids.begin(), shard_ids.end(), std::size_t{0});
+  (void)parallel_map(shard_ids, [this](std::size_t s) {
+    const exec::WorkerLease lease;
+    const obs::ObsScope quiet(nullptr, nullptr);
+    return drain_shard(*shards_[s]);
+  });
 }
 
 void ShardedDispatchEngine::snapshot_shards_locked() {

@@ -208,7 +208,8 @@ class ShardedDispatchEngine {
   struct Shard;
 
   void pump_locked();
-  void drain_shard(Shard& shard);
+  /// Applies `shard`'s queued events in FIFO order; returns how many.
+  std::uint64_t drain_shard(Shard& shard);
   void snapshot_shards_locked();
   void merge_snapshots_locked();
   [[nodiscard]] std::uint64_t events_applied_locked() const;

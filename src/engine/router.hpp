@@ -44,12 +44,13 @@ class HashShardRouter final : public ShardRouter {
   }
 };
 
-/// Region-aware router reusing RegionalDispatcher semantics: a shard is a
-/// fleet, and every session of a region is pinned to that region's shard,
-/// so region isolation holds whenever shard_count >= regions (Section 5's
+/// Region-aware router, the repo's per-region fleets: a shard is a fleet,
+/// and every session of a region is pinned to that region's shard, so
+/// region isolation holds whenever shard_count >= regions (Section 5's
 /// constrained-DBP hook, docs/dispatch_engine.md). The region set is fixed
 /// at construction; producers translate names to keys once via
-/// route_key_for and stamp the key on every event of the session.
+/// route_key_for and stamp the key on every event of the session. Session
+/// ids are per shard: an id reused in another region is not a duplicate.
 class RegionShardRouter final : public ShardRouter {
  public:
   explicit RegionShardRouter(std::vector<std::string> regions)

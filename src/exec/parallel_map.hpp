@@ -79,18 +79,4 @@ auto parallel_map(const std::vector<Job>& jobs, Fn&& fn)
   return results;
 }
 
-/// Number of worker threads parallel_map will use from this thread. Thin
-/// wrapper over exec::WorkerBudget::effective() kept for existing call
-/// sites; new code should talk to the budget directly.
-[[nodiscard]] inline int parallel_worker_count() {
-  return exec::WorkerBudget::effective();
-}
-
-/// Caps the worker count for subsequent parallel_map calls (CLI --threads
-/// plumbing). Delegates to the process-wide exec::WorkerBudget; `threads`
-/// <= 0 restores the runtime default.
-inline void set_parallel_worker_count(int threads) {
-  exec::WorkerBudget::set(threads);
-}
-
 }  // namespace dbp

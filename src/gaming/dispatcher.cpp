@@ -468,84 +468,4 @@ DispatchComparison compare_dispatch_algorithms(
   return comparison;
 }
 
-RegionalDispatcher::RegionalDispatcher(ServerSpec spec, std::string algorithm,
-                                       PackerOptions options)
-    : spec_(spec), algorithm_(std::move(algorithm)), options_(options) {}
-
-BinId RegionalDispatcher::start_session(const std::string& region,
-                                        std::uint64_t session_id,
-                                        double gpu_fraction, Time now_minutes) {
-  // Validate before any state mutation, and reject with the same typed
-  // DispatchError contract GameServerDispatcher documents. The historical
-  // order — create the fleet, record the session->fleet mapping, then
-  // dispatch — leaked an empty fleet on a duplicate start and left a stale
-  // session_fleet_ entry behind when the inner dispatch threw (invalid
-  // size, time travel), after which end_session on the never-started id
-  // would corrupt the bookkeeping instead of rejecting it.
-  if (session_fleet_.contains(session_id)) {
-    throw DispatchError(
-        DispatchErrorKind::kDuplicateStart,
-        strfmt("session %llu is already active in a regional fleet: "
-               "duplicate start_session",
-               static_cast<unsigned long long>(session_id)));
-  }
-  const auto it = fleets_.find(region);
-  std::unique_ptr<GameServerDispatcher> created;
-  GameServerDispatcher* fleet;
-  if (it == fleets_.end()) {
-    created = std::make_unique<GameServerDispatcher>(spec_, algorithm_, options_);
-    fleet = created.get();
-  } else {
-    fleet = it->second.get();
-  }
-  // May throw; a freshly created fleet is then discarded untouched and no
-  // mapping has been recorded yet.
-  const BinId server = fleet->start_session(session_id, gpu_fraction, now_minutes);
-  if (server == kNoServer) return kNoServer;  // dropped under kDropAndCount
-  if (created) fleets_.emplace(region, std::move(created));
-  session_fleet_[session_id] = fleet;
-  return server;
-}
-
-void RegionalDispatcher::end_session(std::uint64_t session_id, Time now_minutes) {
-  auto it = session_fleet_.find(session_id);
-  if (it == session_fleet_.end()) {
-    throw DispatchError(
-        DispatchErrorKind::kUnknownSession,
-        strfmt("session %llu is not active in any regional fleet: "
-               "unknown end_session",
-               static_cast<unsigned long long>(session_id)));
-  }
-  // A throwing end (time-order violation) leaves the mapping in place: the
-  // session is still active in its fleet.
-  it->second->end_session(session_id, now_minutes);
-  session_fleet_.erase(it);
-}
-
-std::size_t RegionalDispatcher::active_servers() const {
-  std::size_t total = 0;
-  // DBP_LINT_ALLOW(unordered-container): integer sum, order-independent.
-  for (const auto& [region, fleet] : fleets_) total += fleet->active_servers();
-  return total;
-}
-
-double RegionalDispatcher::rental_cost_dollars(Time now_minutes) const {
-  // Sum fleets in sorted region order: the bill is a floating-point
-  // accumulation, and hash-map iteration order would make it vary across
-  // standard-library implementations.
-  double total = 0.0;
-  for (const std::string& region : regions()) {
-    total += fleets_.at(region)->rental_cost_dollars(now_minutes);
-  }
-  return total;
-}
-
-std::vector<std::string> RegionalDispatcher::regions() const {
-  std::vector<std::string> names;
-  names.reserve(fleets_.size());
-  for (const auto& [region, fleet] : fleets_) names.push_back(region);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
 }  // namespace dbp

@@ -92,6 +92,8 @@ class GameServerDispatcher {
   [[nodiscard]] double rental_cost_dollars(Time now_minutes) const;
 
   [[nodiscard]] const std::string& algorithm() const noexcept { return algorithm_; }
+  /// The packer's own name (SimulationResult::algorithm of a simulate() run).
+  [[nodiscard]] std::string packer_name() const { return packer_->name(); }
   [[nodiscard]] const ServerSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] const FaultPolicy& fault_policy() const noexcept { return policy_; }
   [[nodiscard]] const DispatcherFaultStats& fault_stats() const noexcept {
@@ -174,33 +176,5 @@ struct DispatchComparison {
 [[nodiscard]] DispatchComparison compare_dispatch_algorithms(
     const CloudGamingTrace& trace, const std::vector<std::string>& algorithms,
     const ServerSpec& spec);
-
-/// Section 5 future-work hook (constrained DBP): sessions carry a region
-/// tag and may only be dispatched to servers of that region. Implemented as
-/// independent per-region fleets.
-class RegionalDispatcher {
- public:
-  RegionalDispatcher(ServerSpec spec, std::string algorithm,
-                     PackerOptions options = {});
-
-  BinId start_session(const std::string& region, std::uint64_t session_id,
-                      double gpu_fraction, Time now_minutes);
-  void end_session(std::uint64_t session_id, Time now_minutes);
-
-  [[nodiscard]] std::size_t active_servers() const;
-  [[nodiscard]] double rental_cost_dollars(Time now_minutes) const;
-  [[nodiscard]] std::vector<std::string> regions() const;
-
- private:
-  ServerSpec spec_;
-  std::string algorithm_;
-  PackerOptions options_;
-  // DBP_LINT_ALLOW(unordered-container): every float-accumulating traversal
-  // goes through regions() (sorted); the remaining iterations are
-  // order-independent integer sums or name collection followed by a sort.
-  std::unordered_map<std::string, std::unique_ptr<GameServerDispatcher>> fleets_;
-  // DBP_LINT_ALLOW(unordered-container): point lookups by session id only.
-  std::unordered_map<std::uint64_t, GameServerDispatcher*> session_fleet_;
-};
 
 }  // namespace dbp

@@ -221,9 +221,13 @@ void WireServer::timer_loop() {
     // last tick this is a zero-length epoch segment, which the engine
     // integrates as exactly zero dollars and zero segments
     // (EngineTest.ZeroLengthEpochSegmentsAreFree) — an idle server's timer
-    // never distorts the OPT bounds.
+    // never distorts the OPT bounds. Holding watermark_order_ exclusively,
+    // every event this epoch drains raised the watermark before the load,
+    // so the epoch is never stamped earlier than an event it applies.
+    std::unique_lock<std::shared_mutex> order(watermark_order_);
     const std::string problem =
         advance_epoch_checked(watermark_.load(std::memory_order_relaxed));
+    order.unlock();
     if (problem.empty()) {
       timer_ticks_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -397,12 +401,15 @@ void WireServer::serve_json(Connection& conn) {
 bool WireServer::handle_request(Connection& conn, std::uint64_t seq,
                                 const WireRequest& request) {
   switch (request.verb) {
-    case WireVerb::kSubmit:
+    case WireVerb::kSubmit: {
+      std::shared_lock<std::shared_mutex> order(watermark_order_);
       raise_watermark(request.event.time_minutes);
       engine_.submit(request.event);
+      order.unlock();
       events_submitted_.fetch_add(1, std::memory_order_relaxed);
       bump(c_events_);
       return false;  // fire-and-forget: success sends no response
+    }
     case WireVerb::kEpoch: {
       const std::string problem = advance_epoch_checked(request.time_minutes);
       if (!problem.empty()) reject(conn, seq, WireError::kBadField, problem);

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -178,6 +179,11 @@ class WireServer {
   bool any_epoch_sent_ = false;
 
   std::atomic<double> watermark_{0.0};
+  /// Orders each submit's raise-watermark-then-submit against the timer's
+  /// load-watermark-then-epoch: submits hold it shared, a timer tick holds
+  /// it exclusively. Without it a submit landing between the tick's load and
+  /// its drain is applied by an epoch stamped before the event's own time.
+  std::shared_mutex watermark_order_;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};

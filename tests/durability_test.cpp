@@ -31,6 +31,10 @@ namespace dbp {
 namespace {
 
 const CostModel kModel{1.0, 1.0, 1e-9};
+/// The server whose cost model is kModel field for field ($60/hour is $1
+/// per minute), so a durable dispatcher fed an instance's items as
+/// sessions packs exactly what simulate() packs under kModel.
+const ServerSpec kSpec{1.0, 60.0};
 
 /// Per-test scratch directory under the system temp root, wiped on both
 /// sides of the test so reruns never see stale durability files.
@@ -57,8 +61,8 @@ std::vector<durability::JournalEvent> sample_events(std::size_t count) {
   std::vector<durability::JournalEvent> events(count);
   for (std::size_t i = 0; i < count; ++i) {
     events[i].seq = i;
-    events[i].kind = (i % 2 == 0) ? durability::JournalEventKind::kArrival
-                                  : durability::JournalEventKind::kDeparture;
+    events[i].kind = (i % 2 == 0) ? durability::JournalEventKind::kStartSession
+                                  : durability::JournalEventKind::kEndSession;
     events[i].time = 0.25 * static_cast<double>(i);
     events[i].subject = 1000 + i;
     events[i].size = 0.125;
@@ -439,26 +443,33 @@ durability::DurabilityConfig make_config(const std::string& dir,
   return config;
 }
 
-void feed_events(durability::DurableRun& run, const Instance& instance,
-                 const std::vector<Event>& events, std::size_t from,
-                 std::size_t to) {
+/// Feeds events [from, to) of an instance's event sequence to `durable`,
+/// items as sessions.
+void feed_events(durability::DurableDispatcher& durable,
+                 const Instance& instance, const std::vector<Event>& events,
+                 std::size_t from, std::size_t to) {
   for (std::size_t i = from; i < to; ++i) {
     const Item& item = instance.item(events[i].item);
     if (events[i].kind == EventKind::kArrival) {
-      (void)run.apply_arrival({item.id, item.arrival, item.size});
+      (void)durable.start_session(item.id, item.size, item.arrival);
     } else {
-      run.apply_departure(item.id, item.departure);
+      durable.end_session(item.id, item.departure);
     }
   }
 }
 
-SimulationResult result_of(const durability::DurableRun& run,
+SimulationResult result_of(const durability::DurableDispatcher& durable,
                            const Instance& instance) {
   SimulationResult result;
-  result.algorithm = run.packer().name();
+  result.algorithm = durable.dispatcher().packer_name();
   result.packing_period = instance.packing_period();
-  detail::finalize_accounting(result, instance, run.packer().bins());
+  detail::finalize_accounting(result, instance, durable.dispatcher().bins());
   return result;
+}
+
+durability::DurableDispatcher make_durable(const std::string& dir) {
+  return durability::DurableDispatcher(make_config(dir), kSpec, "first-fit",
+                                       {}, {});
 }
 
 void expect_identical(const SimulationResult& a, const SimulationResult& b) {
@@ -475,17 +486,22 @@ void expect_identical(const SimulationResult& a, const SimulationResult& b) {
   }
 }
 
-TEST_F(DurabilityTest, DurableRunCleanPathMatchesSimulate) {
+TEST_F(DurabilityTest, DurableDispatcherCleanPathMatchesSimulate) {
+  const CostModel model = kSpec.to_cost_model();
+  ASSERT_EQ(model.bin_capacity, kModel.bin_capacity);
+  ASSERT_EQ(model.cost_rate, kModel.cost_rate);
+  ASSERT_EQ(model.fit_tolerance, kModel.fit_tolerance);
+
   RandomInstanceConfig config;
   config.item_count = 100;
   const Instance instance = generate_random_instance(config, 23);
   const std::vector<Event> events = build_event_sequence(instance);
   const SimulationResult reference = simulate(instance, "first-fit", kModel);
 
-  durability::DurableRun run(make_config(path("run")), kModel, "first-fit", {});
-  feed_events(run, instance, events, 0, events.size());
-  run.flush();
-  expect_identical(reference, result_of(run, instance));
+  durability::DurableDispatcher durable = make_durable(path("run"));
+  feed_events(durable, instance, events, 0, events.size());
+  durable.flush();
+  expect_identical(reference, result_of(durable, instance));
 }
 
 TEST_F(DurabilityTest, RecoveryResumesInterruptedRunBitIdentically) {
@@ -500,26 +516,24 @@ TEST_F(DurabilityTest, RecoveryResumesInterruptedRunBitIdentically) {
   // would have left.
   const std::size_t cut = events.size() / 3;
   {
-    durability::DurableRun run(make_config(path("run")), kModel, "first-fit",
-                               {});
-    feed_events(run, instance, events, 0, cut);
-    run.flush();
+    durability::DurableDispatcher durable = make_durable(path("run"));
+    feed_events(durable, instance, events, 0, cut);
+    durable.flush();
   }
 
   obs::MetricsRegistry metrics;
   obs::ObsScope scope(nullptr, &metrics);
   durability::RecoveryManager manager(make_config(path("run")));
   durability::RecoveredState state = manager.recover();
-  ASSERT_EQ(state.mode, durability::DurableMode::kSimulation);
-  ASSERT_NE(state.run, nullptr);
+  ASSERT_NE(state.dispatcher, nullptr);
   EXPECT_EQ(state.report.next_seq, cut);
   EXPECT_EQ(state.report.replayed_events + state.report.checkpoint_seq, cut);
   EXPECT_EQ(metrics.counter_value("recovery.replayed_events"),
             std::optional<std::uint64_t>(state.report.replayed_events));
 
-  feed_events(*state.run, instance, events, cut, events.size());
-  state.run->flush();
-  expect_identical(reference, result_of(*state.run, instance));
+  feed_events(*state.dispatcher, instance, events, cut, events.size());
+  state.dispatcher->flush();
+  expect_identical(reference, result_of(*state.dispatcher, instance));
 }
 
 TEST_F(DurabilityTest, RecoveryFallsBackWhenNewestCheckpointIsCorrupt) {
@@ -529,10 +543,9 @@ TEST_F(DurabilityTest, RecoveryFallsBackWhenNewestCheckpointIsCorrupt) {
   const std::vector<Event> events = build_event_sequence(instance);
   const SimulationResult reference = simulate(instance, "first-fit", kModel);
   {
-    durability::DurableRun run(make_config(path("run")), kModel, "first-fit",
-                               {});
-    feed_events(run, instance, events, 0, events.size());
-    run.flush();
+    durability::DurableDispatcher durable = make_durable(path("run"));
+    feed_events(durable, instance, events, 0, events.size());
+    durable.flush();
   }
   const auto entries = durability::list_checkpoints(path("run"));
   ASSERT_GE(entries.size(), 2u);
@@ -541,13 +554,13 @@ TEST_F(DurabilityTest, RecoveryFallsBackWhenNewestCheckpointIsCorrupt) {
 
   durability::RecoveryManager manager(make_config(path("run")));
   durability::RecoveredState state = manager.recover();
-  ASSERT_NE(state.run, nullptr);
+  ASSERT_NE(state.dispatcher, nullptr);
   EXPECT_GE(state.report.checkpoints_skipped, 1u);
   EXPECT_LT(state.report.checkpoint_seq, entries.front().next_seq);
-  feed_events(*state.run, instance, events, state.report.next_seq,
+  feed_events(*state.dispatcher, instance, events, state.report.next_seq,
               events.size());
-  state.run->flush();
-  expect_identical(reference, result_of(*state.run, instance));
+  state.dispatcher->flush();
+  expect_identical(reference, result_of(*state.dispatcher, instance));
 }
 
 TEST_F(DurabilityTest, RecoveryRefusesDirectoryWithoutUsableCheckpoint) {
@@ -562,10 +575,9 @@ TEST_F(DurabilityTest, RecoveryRefusesDirectoryWithoutUsableCheckpoint) {
 
   // All checkpoints damaged -> typed refusal, never a fabricated state.
   {
-    durability::DurableRun run(make_config(path("run")), kModel, "first-fit",
-                               {});
-    (void)run.apply_arrival({0, 0.0, 0.5});
-    run.flush();
+    durability::DurableDispatcher durable = make_durable(path("run"));
+    (void)durable.start_session(0, 0.5, 0.0);
+    durable.flush();
   }
   for (const auto& entry : durability::list_checkpoints(path("run"))) {
     flip_byte(entry.path, durability::detail::file_size(entry.path) / 2);
@@ -574,10 +586,47 @@ TEST_F(DurabilityTest, RecoveryRefusesDirectoryWithoutUsableCheckpoint) {
   EXPECT_THROW((void)manager.recover(), CorruptionError);
 }
 
-TEST_F(DurabilityTest, DurableRunRejectsClairvoyantAlgorithms) {
-  EXPECT_THROW(durability::DurableRun(make_config(path("run")), kModel,
-                                      "align-departures-fit", {}),
+TEST_F(DurabilityTest, DurableDispatcherRejectsClairvoyantAlgorithms) {
+  EXPECT_THROW(durability::DurableDispatcher(make_config(path("run")), kSpec,
+                                             "align-departures-fit", {}, {}),
                PreconditionError);
+}
+
+// The retired simulation mode journaled kinds 4/5 (item arrival/departure)
+// and wrote checkpoint payloads with mode byte 2. Such files are foreign
+// content, not crash damage: both are refused with a typed CorruptionError
+// instead of being truncated away as a torn tail or half-decoded.
+TEST_F(DurabilityTest, RetiredSimulationJournalKindsAreRefused) {
+  for (const std::uint8_t kind : {std::uint8_t{4}, std::uint8_t{5}}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    std::vector<durability::JournalEvent> events = sample_events(3);
+    events[1].kind = static_cast<durability::JournalEventKind>(kind);
+    const std::string journal = path("j" + std::to_string(kind));
+    write_journal(journal, events);
+    EXPECT_THROW((void)durability::scan_journal(journal), CorruptionError);
+  }
+}
+
+TEST_F(DurabilityTest, RetiredSimulationCheckpointModeIsRefused) {
+  const durability::DurabilityConfig config = make_config(path("run"));
+  {
+    durability::DurableDispatcher durable = make_durable(config.dir);
+    (void)durable.start_session(0, 0.5, 0.0);
+    durable.checkpoint_now();
+  }
+  // Re-stamp the newest checkpoint's payload with mode byte 2 under a
+  // fresh, valid CRC, so only the mode byte can give it away.
+  const auto entries = durability::list_checkpoints(config.dir);
+  ASSERT_FALSE(entries.empty());
+  durability::CheckpointData data =
+      durability::load_checkpoint(entries.front().path);
+  ASSERT_FALSE(data.payload.empty());
+  ASSERT_EQ(data.payload.front(), 1u);
+  data.payload.front() = 2;
+  (void)durability::write_checkpoint(config.dir, data);
+
+  durability::RecoveryManager manager(config);
+  EXPECT_THROW((void)manager.recover(), CorruptionError);
 }
 
 TEST_F(DurabilityTest, DurableDispatcherSurvivesRecoveryWithFaultState) {
@@ -607,7 +656,6 @@ TEST_F(DurabilityTest, DurableDispatcherSurvivesRecoveryWithFaultState) {
   }
   durability::RecoveryManager manager(make_config(path("d"), 8));
   durability::RecoveredState state = manager.recover();
-  ASSERT_EQ(state.mode, durability::DurableMode::kDispatcher);
   ASSERT_NE(state.dispatcher, nullptr);
   drive(*state.dispatcher, cut, 40);
 

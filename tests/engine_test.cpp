@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/error.hpp"
@@ -286,6 +288,128 @@ TEST(EngineTest, RegionRoutingIsolatesFleets) {
   EXPECT_EQ(eng.active_servers(), 2u);
   EXPECT_EQ(eng.shard_dispatcher(eng.router().shard_for(ap, 2)).active_sessions(), 1u);
   EXPECT_EQ(eng.shard_dispatcher(eng.router().shard_for(eu, 2)).active_sessions(), 1u);
+
+  // Within a region fleets share: a second ap 0.4 session joins the open ap
+  // server instead of renting a third.
+  SessionEvent c = start_event(3, 0.4, 1.0);
+  c.route_key = ap;
+  eng.submit(c);
+  eng.drain();
+  EXPECT_EQ(eng.active_servers(), 2u);
+  EXPECT_EQ(eng.shard_dispatcher(eng.router().shard_for(ap, 2)).active_sessions(), 2u);
+
+  // Bill in shard order: the ap server runs [0, 30), the eu one [0, 60):
+  // 1.5 server-hours at $6/hour.
+  SessionEvent end_a = end_event(1, 30.0);
+  end_a.route_key = ap;
+  SessionEvent end_c = end_event(3, 30.0);
+  end_c.route_key = ap;
+  SessionEvent end_b = end_event(2, 60.0);
+  end_b.route_key = eu;
+  eng.submit(end_a);
+  eng.submit(end_c);
+  eng.submit(end_b);
+  eng.drain();
+  EXPECT_EQ(eng.active_servers(), 0u);
+  EXPECT_DOUBLE_EQ(eng.rental_cost_dollars(60.0), 9.0);
+}
+
+/// `event` stamped with `key`, the route key of its session's region.
+SessionEvent in_region(SessionEvent event, std::uint64_t key) {
+  event.route_key = key;
+  return event;
+}
+
+/// A two-region engine ("ap" on one shard, "eu" on the other) and the
+/// shard index of each region.
+struct RegionEngine {
+  RegionEngine() {
+    auto router = std::make_unique<RegionShardRouter>(
+        std::vector<std::string>{"ap", "eu"});
+    ap = router->route_key_for("ap");
+    eu = router->route_key_for("eu");
+    eng = std::make_unique<ShardedDispatchEngine>(config(2), std::move(router));
+  }
+  [[nodiscard]] const GameServerDispatcher& fleet(std::uint64_t key) const {
+    return eng->shard_dispatcher(eng->router().shard_for(key, 2));
+  }
+
+  std::uint64_t ap = 0;
+  std::uint64_t eu = 0;
+  std::unique_ptr<ShardedDispatchEngine> eng;
+};
+
+TEST(EngineTest, RegionDuplicateStartIsCountedByItsFleet) {
+  RegionEngine r;
+  r.eng->submit(in_region(start_event(1, 0.4, 0.0), r.ap));
+  r.eng->submit(in_region(start_event(1, 0.4, 1.0), r.ap));  // duplicate
+  r.eng->drain();
+  EXPECT_EQ(r.fleet(r.ap).fault_stats().duplicate_starts, 1u);
+  EXPECT_EQ(r.fleet(r.eu).fault_stats().duplicate_starts, 0u);
+  EXPECT_EQ(r.fleet(r.ap).active_sessions(), 1u);
+  EXPECT_EQ(r.eng->active_servers(), 1u);
+}
+
+TEST(EngineTest, RegionUnknownEndIsCountedByItsFleet) {
+  RegionEngine r;
+  r.eng->submit(in_region(start_event(1, 0.4, 0.0), r.ap));
+  r.eng->submit(in_region(end_event(99, 1.0), r.eu));  // never started
+  r.eng->drain();
+  EXPECT_EQ(r.fleet(r.eu).fault_stats().unknown_ends, 1u);
+  EXPECT_EQ(r.fleet(r.ap).fault_stats().unknown_ends, 0u);
+  EXPECT_EQ(r.eng->active_sessions(), 1u);
+}
+
+// A rejected start (invalid size) registers nothing: ending the
+// never-started id is an unknown end, and the other region's session and
+// server are untouched.
+TEST(EngineTest, RegionRejectedStartLeavesNoSession) {
+  RegionEngine r;
+  r.eng->submit(in_region(start_event(1, 0.4, 0.0), r.ap));
+  r.eng->submit(in_region(start_event(7, 2.0, 1.0), r.eu));  // invalid size
+  r.eng->drain();
+  EXPECT_EQ(r.fleet(r.eu).fault_stats().invalid_sizes, 1u);
+  EXPECT_EQ(r.fleet(r.eu).active_servers(), 0u);
+
+  r.eng->submit(in_region(end_event(7, 2.0), r.eu));
+  r.eng->drain();
+  EXPECT_EQ(r.fleet(r.eu).fault_stats().unknown_ends, 1u);
+
+  r.eng->submit(in_region(end_event(1, 3.0), r.ap));
+  r.eng->drain();
+  EXPECT_EQ(r.eng->active_servers(), 0u);
+  EXPECT_EQ(r.eng->merged_fault_stats().duplicate_starts, 0u);
+}
+
+// Session ids are per fleet (docs/dispatch_engine.md): an id reused in a
+// second region is a distinct session there, not a duplicate start.
+TEST(EngineTest, SessionIdReusedAcrossRegionsIsNotADuplicate) {
+  RegionEngine r;
+  r.eng->submit(in_region(start_event(1, 0.4, 0.0), r.ap));
+  r.eng->submit(in_region(start_event(1, 0.4, 1.0), r.eu));
+  r.eng->drain();
+  EXPECT_EQ(r.eng->merged_fault_stats().duplicate_starts, 0u);
+  EXPECT_EQ(r.eng->active_sessions(), 2u);
+  EXPECT_EQ(r.eng->active_servers(), 2u);
+
+  // Each end closes only its own region's session.
+  r.eng->submit(in_region(end_event(1, 30.0), r.ap));
+  r.eng->drain();
+  EXPECT_EQ(r.fleet(r.ap).active_sessions(), 0u);
+  EXPECT_EQ(r.fleet(r.eu).active_sessions(), 1u);
+}
+
+// Routing stability is the producer's contract: an end stamped with another
+// region's key lands on that fleet, which does not know the session, so it
+// is counted there as unknown and the session keeps running.
+TEST(EngineTest, EndRoutedToAnotherRegionIsUnknownThere) {
+  RegionEngine r;
+  r.eng->submit(in_region(start_event(1, 0.4, 0.0), r.ap));
+  r.eng->submit(in_region(end_event(1, 10.0), r.eu));
+  r.eng->drain();
+  EXPECT_EQ(r.fleet(r.eu).fault_stats().unknown_ends, 1u);
+  EXPECT_EQ(r.fleet(r.ap).active_sessions(), 1u);
+  EXPECT_EQ(r.eng->active_servers(), 1u);
 }
 
 }  // namespace

@@ -21,6 +21,10 @@ namespace dbp {
 namespace {
 
 const CostModel kModel{1.0, 1.0, 1e-9};
+/// kSpec.to_cost_model() equals kModel field for field, so a durable
+/// dispatcher fed an instance's items as sessions packs what simulate()
+/// packs under kModel.
+const ServerSpec kSpec{1.0, 60.0};
 
 class RecoveryDifferentialTest : public ::testing::Test {
  protected:
@@ -45,15 +49,15 @@ class RecoveryDifferentialTest : public ::testing::Test {
   std::string dir_;
 };
 
-void feed_events(durability::DurableRun& run, const Instance& instance,
-                 const std::vector<Event>& events, std::size_t from,
-                 std::size_t to) {
+void feed_events(durability::DurableDispatcher& durable,
+                 const Instance& instance, const std::vector<Event>& events,
+                 std::size_t from, std::size_t to) {
   for (std::size_t i = from; i < to; ++i) {
     const Item& item = instance.item(events[i].item);
     if (events[i].kind == EventKind::kArrival) {
-      (void)run.apply_arrival({item.id, item.arrival, item.size});
+      (void)durable.start_session(item.id, item.size, item.arrival);
     } else {
-      run.apply_departure(item.id, item.departure);
+      durable.end_session(item.id, item.departure);
     }
   }
 }
@@ -80,22 +84,23 @@ void run_cut(const durability::DurabilityConfig& config,
   SCOPED_TRACE("cut=" + std::to_string(cut));
   std::filesystem::remove_all(config.dir);
   {
-    durability::DurableRun run(config, kModel, algorithm, options);
-    feed_events(run, instance, events, 0, cut);
-    run.flush();
+    durability::DurableDispatcher durable(config, kSpec, algorithm, options,
+                                          {});
+    feed_events(durable, instance, events, 0, cut);
+    durable.flush();
   }
   durability::RecoveryManager manager(config);
   durability::RecoveredState state = manager.recover();
-  ASSERT_EQ(state.mode, durability::DurableMode::kSimulation);
-  ASSERT_NE(state.run, nullptr);
+  ASSERT_NE(state.dispatcher, nullptr);
   ASSERT_EQ(state.report.next_seq, cut);
-  feed_events(*state.run, instance, events, cut, events.size());
-  state.run->flush();
+  feed_events(*state.dispatcher, instance, events, cut, events.size());
+  state.dispatcher->flush();
 
+  const GameServerDispatcher& recovered = state.dispatcher->dispatcher();
   SimulationResult result;
-  result.algorithm = state.run->packer().name();
+  result.algorithm = recovered.packer_name();
   result.packing_period = instance.packing_period();
-  detail::finalize_accounting(result, instance, state.run->packer().bins());
+  detail::finalize_accounting(result, instance, recovered.bins());
   expect_identical(reference, result);
 }
 
@@ -214,7 +219,6 @@ TEST_F(RecoveryDifferentialTest, DispatcherChaosRecoversAtEveryStride) {
     }
     durability::RecoveryManager manager(cfg);
     durability::RecoveredState state = manager.recover();
-    ASSERT_EQ(state.mode, durability::DurableMode::kDispatcher);
     ASSERT_NE(state.dispatcher, nullptr);
     ASSERT_EQ(state.report.next_seq, cut);
     apply(*state.dispatcher, state.dispatcher->dispatcher().bins(), cut,

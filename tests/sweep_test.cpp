@@ -99,7 +99,7 @@ TEST(SweepTest, NonTrivialResultType) {
 }
 
 TEST(SweepTest, WorkerCountPositive) {
-  EXPECT_GE(parallel_worker_count(), 1);
+  EXPECT_GE(exec::WorkerBudget::effective(), 1);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 #include <sstream>
 #include <string>
 
-#include "exec/parallel_map.hpp"
+#include "exec/worker_budget.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/obs.hpp"
 #include "obs/run_tracer.hpp"
@@ -125,15 +125,15 @@ TEST(TraceNeutralityTest, OptTotalIsBitIdenticalWithTracing) {
 /// fields stripped.
 std::string traced_pipeline_jsonl(const Instance& instance,
                                   const CostModel& model, int threads) {
-  const int saved = parallel_worker_count();
-  set_parallel_worker_count(threads);
+  const int saved = exec::WorkerBudget::budget();
+  exec::WorkerBudget::set(threads);
   obs::RunTracer tracer;
   {
     const obs::ObsScope scope(&tracer, nullptr);
     (void)simulate(instance, "first-fit", model);
     (void)estimate_opt_total(instance, model);
   }
-  set_parallel_worker_count(saved);
+  exec::WorkerBudget::set(saved);
   std::ostringstream out;
   tracer.export_jsonl(out, /*include_timings=*/false);
   return out.str();

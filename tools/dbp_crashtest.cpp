@@ -2,8 +2,9 @@
 //
 // For every workload class it runs a reference (uninterrupted) packing run,
 // then forks children that replay the same event stream through a
-// DurableRun/DurableDispatcher and SIGKILL themselves at a randomized byte
-// offset inside the journal/checkpoint write path (durability::WriteCrashHook).
+// DurableDispatcher (instance items fed as sessions) and SIGKILL themselves
+// at a randomized byte offset inside the journal/checkpoint write path
+// (durability::WriteCrashHook).
 // The parent recovers each crashed directory, re-feeds the not-yet-durable
 // suffix of the input, and requires the final state to be bit-identical to
 // the reference — exact == on every SimulationResult field, and exact
@@ -123,28 +124,33 @@ std::optional<std::string> diff_results(const SimulationResult& ref,
 }
 
 // --------------------------------------------------------------------------
-// Simulation-mode plumbing.
+// Simulation-mode plumbing: the instance's items are fed to a durable
+// dispatcher as sessions. Its server's to_cost_model() is the simulation's
+// cost model, and under the default FaultPolicy every start goes straight
+// to the packer, so the finished dispatcher's bins yield simulate()'s
+// result exactly.
 
-void feed_run(durability::DurableRun& run, const Instance& instance,
+void feed_run(durability::DurableDispatcher& durable, const Instance& instance,
               const std::vector<Event>& events, std::uint64_t from_seq) {
   for (std::uint64_t i = from_seq; i < events.size(); ++i) {
     const Item& item = instance.item(events[i].item);
     if (events[i].kind == EventKind::kArrival) {
-      (void)run.apply_arrival(ArrivingItem{item.id, item.arrival, item.size});
+      (void)durable.start_session(item.id, item.size, item.arrival);
     } else {
-      run.apply_departure(item.id, item.departure);
+      durable.end_session(item.id, item.departure);
     }
   }
 }
 
-SimulationResult finalize_run(const durability::DurableRun& run,
+SimulationResult finalize_run(const durability::DurableDispatcher& durable,
                               const Instance& instance) {
-  DBP_CHECK(run.packer().bins().open_count() == 0,
+  const GameServerDispatcher& dispatcher = durable.dispatcher();
+  DBP_CHECK(dispatcher.bins().open_count() == 0,
             "bins remain open after the last departure");
   SimulationResult result;
-  result.algorithm = run.packer().name();
+  result.algorithm = dispatcher.packer_name();
   result.packing_period = instance.packing_period();
-  detail::finalize_accounting(result, instance, run.packer().bins());
+  detail::finalize_accounting(result, instance, dispatcher.bins());
   return result;
 }
 
@@ -154,7 +160,7 @@ SimulationResult finalize_run(const durability::DurableRun& run,
 std::uint64_t measure_clean_run(const durability::DurabilityConfig& config,
                                 const Instance& instance,
                                 const std::vector<Event>& events,
-                                const CostModel& model,
+                                const ServerSpec& spec,
                                 const std::string& algorithm,
                                 const PackerOptions& options,
                                 const SimulationResult& reference) {
@@ -164,11 +170,11 @@ std::uint64_t measure_clean_run(const durability::DurabilityConfig& config,
         total += length;
         return std::optional<std::size_t>{};
       });
-  durability::DurableRun run(config, model, algorithm, options);
-  feed_run(run, instance, events, 0);
-  run.flush();
+  durability::DurableDispatcher durable(config, spec, algorithm, options, {});
+  feed_run(durable, instance, events, 0);
+  durable.flush();
   durability::set_write_crash_hook({});
-  const SimulationResult clean = finalize_run(run, instance);
+  const SimulationResult clean = finalize_run(durable, instance);
   if (auto why = diff_results(reference, clean)) {
     throw InvariantError("clean durable run diverged from simulate(): " + *why);
   }
@@ -195,16 +201,17 @@ void install_kill_hook(std::uint64_t threshold) {
 bool run_crashing_child(const durability::DurabilityConfig& config,
                         const Instance& instance,
                         const std::vector<Event>& events,
-                        const CostModel& model, const std::string& algorithm,
+                        const ServerSpec& spec, const std::string& algorithm,
                         const PackerOptions& options, std::uint64_t threshold) {
   const pid_t pid = ::fork();
   DBP_REQUIRE(pid >= 0, "fork failed");
   if (pid == 0) {
     try {
-      durability::DurableRun run(config, model, algorithm, options);
+      durability::DurableDispatcher durable(config, spec, algorithm, options,
+                                            {});
       install_kill_hook(threshold);
-      feed_run(run, instance, events, 0);
-      run.flush();
+      feed_run(durable, instance, events, 0);
+      durable.flush();
     } catch (...) {
       std::_Exit(3);
     }
@@ -231,23 +238,19 @@ struct TrialTally {
 std::optional<std::string> sim_trial(const durability::DurabilityConfig& config,
                                      const Instance& instance,
                                      const std::vector<Event>& events,
-                                     const CostModel& model,
+                                     const ServerSpec& spec,
                                      const std::string& algorithm,
                                      const PackerOptions& options,
                                      const SimulationResult& reference,
                                      std::uint64_t threshold,
                                      TrialTally& tally) {
   ++tally.trials;
-  if (!run_crashing_child(config, instance, events, model, algorithm, options,
+  if (!run_crashing_child(config, instance, events, spec, algorithm, options,
                           threshold)) {
     return "child failed with an unexpected status";
   }
   durability::RecoveryManager manager(config);
   durability::RecoveredState state = manager.recover();
-  if (state.mode != durability::DurableMode::kSimulation ||
-      state.run == nullptr) {
-    return "recovered the wrong durable mode";
-  }
   if (state.report.next_seq > events.size()) {
     return "recovered next_seq beyond the input stream";
   }
@@ -255,9 +258,9 @@ std::optional<std::string> sim_trial(const durability::DurabilityConfig& config,
   if (state.report.torn_tail) ++tally.torn_tails;
   tally.replayed += state.report.replayed_events;
   tally.refed += events.size() - state.report.next_seq;
-  feed_run(*state.run, instance, events, state.report.next_seq);
-  state.run->flush();
-  const SimulationResult got = finalize_run(*state.run, instance);
+  feed_run(*state.dispatcher, instance, events, state.report.next_seq);
+  state.dispatcher->flush();
+  const SimulationResult got = finalize_run(*state.dispatcher, instance);
   if (auto why = diff_results(reference, got)) return why;
   return std::nullopt;
 }
@@ -373,10 +376,6 @@ std::optional<std::string> dispatch_trial(
 
   durability::RecoveryManager manager(config);
   durability::RecoveredState state = manager.recover();
-  if (state.mode != durability::DurableMode::kDispatcher ||
-      state.dispatcher == nullptr) {
-    return "recovered the wrong durable mode";
-  }
   if (state.report.next_seq > ops.size()) {
     return "recovered next_seq beyond the script";
   }
@@ -417,11 +416,11 @@ void flip_bit(const std::string& path, std::uint64_t byte, unsigned bit) {
 /// checkpoints plus the complete journal).
 void populate_dir(const durability::DurabilityConfig& config,
                   const Instance& instance, const std::vector<Event>& events,
-                  const CostModel& model, const std::string& algorithm,
+                  const ServerSpec& spec, const std::string& algorithm,
                   const PackerOptions& options) {
-  durability::DurableRun run(config, model, algorithm, options);
-  feed_run(run, instance, events, 0);
-  run.flush();
+  durability::DurableDispatcher durable(config, spec, algorithm, options, {});
+  feed_run(durable, instance, events, 0);
+  durable.flush();
 }
 
 /// Attempts recovery of a (possibly corrupted) directory. Returns nullopt
@@ -434,18 +433,14 @@ std::optional<std::string> recover_and_check(
   try {
     durability::RecoveryManager manager(config);
     durability::RecoveredState state = manager.recover();
-    if (state.mode != durability::DurableMode::kSimulation ||
-        state.run == nullptr) {
-      return "recovered the wrong durable mode";
-    }
-    if (state.report.next_seq > events.size()) {
+      if (state.report.next_seq > events.size()) {
       return "recovered next_seq beyond the input stream";
     }
     if (out_recovered != nullptr) *out_recovered = true;
     if (out_skipped != nullptr) *out_skipped = state.report.checkpoints_skipped;
-    feed_run(*state.run, instance, events, state.report.next_seq);
-    state.run->flush();
-    const SimulationResult got = finalize_run(*state.run, instance);
+    feed_run(*state.dispatcher, instance, events, state.report.next_seq);
+    state.dispatcher->flush();
+    const SimulationResult got = finalize_run(*state.dispatcher, instance);
     if (auto why = diff_results(reference, got)) {
       return "silent corruption: " + *why;
     }
@@ -463,7 +458,7 @@ struct CorruptionOutcome {
 
 std::optional<std::string> corruption_battery(
     const std::string& base_dir, const Instance& instance,
-    const std::vector<Event>& events, const CostModel& model,
+    const std::vector<Event>& events, const ServerSpec& spec,
     const std::string& algorithm, const PackerOptions& options,
     const SimulationResult& reference, Rng& rng, CorruptionOutcome& outcome) {
   std::size_t case_id = 0;
@@ -490,7 +485,7 @@ std::optional<std::string> corruption_battery(
   for (int i = 0; i < 4; ++i) {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("jflip");
-    populate_dir(config, instance, events, model, algorithm, options);
+    populate_dir(config, instance, events, spec, algorithm, options);
     const std::string journal =
         config.dir + "/" + durability::kJournalFileName;
     const std::uint64_t size = durability::detail::file_size(journal);
@@ -510,7 +505,7 @@ std::optional<std::string> corruption_battery(
   for (int i = 0; i < 4; ++i) {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("jtrunc");
-    populate_dir(config, instance, events, model, algorithm, options);
+    populate_dir(config, instance, events, spec, algorithm, options);
     const std::string journal =
         config.dir + "/" + durability::kJournalFileName;
     const std::uint64_t size = durability::detail::file_size(journal);
@@ -529,7 +524,7 @@ std::optional<std::string> corruption_battery(
   {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("stale");
-    populate_dir(config, instance, events, model, algorithm, options);
+    populate_dir(config, instance, events, spec, algorithm, options);
     const auto entries = durability::list_checkpoints(config.dir);
     DBP_REQUIRE(!entries.empty(), "populate left no checkpoints");
     const std::vector<std::uint8_t> bytes =
@@ -560,7 +555,7 @@ std::optional<std::string> corruption_battery(
   for (int i = 0; i < 4; ++i) {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("cflip");
-    populate_dir(config, instance, events, model, algorithm, options);
+    populate_dir(config, instance, events, spec, algorithm, options);
     const auto entries = durability::list_checkpoints(config.dir);
     DBP_REQUIRE(entries.size() >= 2, "need two checkpoints for fallback");
     const std::uint64_t size =
@@ -587,7 +582,7 @@ std::optional<std::string> corruption_battery(
   {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("allbad");
-    populate_dir(config, instance, events, model, algorithm, options);
+    populate_dir(config, instance, events, spec, algorithm, options);
     for (const auto& entry : durability::list_checkpoints(config.dir)) {
       const std::uint64_t size = durability::detail::file_size(entry.path);
       flip_bit(entry.path, rng.uniform_int(0, size - 1),
@@ -608,7 +603,7 @@ std::optional<std::string> corruption_battery(
   {
     ++case_id;
     const durability::DurabilityConfig config = fresh_config("jheader");
-    populate_dir(config, instance, events, model, algorithm, options);
+    populate_dir(config, instance, events, spec, algorithm, options);
     const std::string journal =
         config.dir + "/" + durability::kJournalFileName;
     flip_bit(journal, rng.uniform_int(0, durability::kJournalHeaderBytes - 1),
@@ -654,7 +649,10 @@ int main(int argc, char** argv) {
                    .string());
     std::filesystem::create_directories(base_dir);
 
-    const CostModel model{1.0, 1.0, 1e-9};
+    // Simulation-mode server: its cost model is {1, 1, 1e-9} ($60/hour is
+    // $1 per minute).
+    const ServerSpec sim_spec{1.0, 60.0};
+    const CostModel model = sim_spec.to_cost_model();
     Rng rng(seed ^ 0xC4A5585ULL);
     std::size_t failures = 0;
 
@@ -672,7 +670,7 @@ int main(int argc, char** argv) {
       probe.dir = base_dir + "/probe-" + workload;
       probe.checkpoint_every = checkpoint_every;
       const std::uint64_t total_bytes = measure_clean_run(
-          probe, instance, events, model, algorithm, options, reference);
+          probe, instance, events, sim_spec, algorithm, options, reference);
       std::filesystem::remove_all(probe.dir);
 
       TrialTally tally;
@@ -683,7 +681,7 @@ int main(int argc, char** argv) {
         // +5% headroom so some children run to completion (clean-exit path).
         const std::uint64_t threshold =
             rng.uniform_int(0, total_bytes + total_bytes / 20);
-        if (auto why = sim_trial(config, instance, events, model, algorithm,
+        if (auto why = sim_trial(config, instance, events, sim_spec, algorithm,
                                  options, reference, threshold, tally)) {
           std::cerr << strfmt("FAIL [%s trial %llu threshold %llu]: %s\n",
                               workload.c_str(),
@@ -782,8 +780,8 @@ int main(int argc, char** argv) {
           simulate(instance, algorithm, model, options);
       CorruptionOutcome outcome;
       if (auto why =
-              corruption_battery(base_dir, instance, events, model, algorithm,
-                                 options, reference, rng, outcome)) {
+              corruption_battery(base_dir, instance, events, sim_spec,
+                                 algorithm, options, reference, rng, outcome)) {
         std::cerr << "FAIL [corruption]: " << *why << "\n";
         ++failures;
       }
